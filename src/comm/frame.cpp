@@ -93,16 +93,6 @@ std::array<std::uint8_t, kFrameHeaderBytes> encode_frame_header(
   return out;
 }
 
-void encode_frame(const FrameHeader& header,
-                  std::span<const std::uint8_t> body,
-                  std::vector<std::uint8_t>& out) {
-  util::check(body.size() == header.body_len,
-              "frame: body size does not match header.body_len");
-  const auto head = encode_frame_header(header);
-  out.insert(out.end(), head.begin(), head.end());
-  out.insert(out.end(), body.begin(), body.end());
-}
-
 FrameHeader decode_frame_header(std::span<const std::uint8_t> buffer) {
   util::check(buffer.size() >= kFrameHeaderBytes,
               "frame: buffer shorter than a frame header");

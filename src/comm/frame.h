@@ -53,9 +53,10 @@ inline constexpr std::uint8_t kReliableAckKind = 0xF1;   ///< seq = acked rseq
 inline constexpr std::uint8_t kHeartbeatKind = 0xF2;     ///< liveness beacon
 inline constexpr std::uint8_t kByeKind = 0xF3;           ///< clean-close fence
 inline constexpr std::uint8_t kReservedKindBase = 0xE0;  ///< first reserved
-/// Upper bound on a frame body.  Far above any real gradient payload (the
-/// proxy models are a few hundred KiB encoded); its job is to make a corrupt
-/// length field fail fast instead of asking the receiver to buffer gigabytes.
+/// Upper bound on a frame body.  Far above any real payload (the largest,
+/// a VGG19 proxy's dense push or parameter snapshot, is 5.59 MB); its job is
+/// to make a corrupt length field fail fast instead of asking the receiver
+/// to buffer gigabytes.
 inline constexpr std::size_t kMaxFrameBody = std::size_t{1} << 30;
 
 /// Little-endian scalar append/read primitives shared by the frame codec and
@@ -138,11 +139,6 @@ struct FrameHeader {
 /// kMaxFrameBody (a sender must never emit a frame its peers would reject).
 std::array<std::uint8_t, kFrameHeaderBytes> encode_frame_header(
     const FrameHeader& header);
-
-/// Appends header + body to `out` as one contiguous frame.
-void encode_frame(const FrameHeader& header,
-                  std::span<const std::uint8_t> body,
-                  std::vector<std::uint8_t>& out);
 
 /// Strictly parses the frame header at the front of `buffer` (which may hold
 /// more bytes — the body, further frames).  Throws util::CheckError on a

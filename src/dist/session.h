@@ -104,9 +104,12 @@ struct FaultInjectionConfig {
   std::size_t kill_worker = kNone;
   std::size_t kill_round = 0;
 
-  /// One-shot link cut: endpoint `cut_from` hard-closes its socket to
-  /// `cut_to` after writing `cut_after` frames (sockets engine only).
-  /// Exercises mid-session reconnect + retransmission recovery.
+  /// One-shot link cut: endpoint `cut_from` writes only part of the first
+  /// reliable data envelope that follows its first `cut_after` frames to
+  /// `cut_to`, then hard-closes that socket (sockets engine only).  The
+  /// envelope can never be acked, so the cut always exercises mid-session
+  /// reconnect, the receiver's discard of a partial frame, and
+  /// retransmission.
   std::size_t cut_from = kNone;
   std::size_t cut_to = kNone;
   std::size_t cut_after = 0;

@@ -145,19 +145,32 @@ bool ReliableEndpoint::inner_send(std::size_t peer, TransportMessage frame) {
   if (inner_.send(peer, std::move(frame))) return true;
   if (inner_.is_shut_down()) return false;
   // The link (not the transport) failed.  One reconnect attempt per closure;
-  // the frame stays in the outstanding window either way, so a successful
-  // reconnect re-delivers it on the next retransmit tick.
+  // a data frame is in the outstanding window either way, so a successful
+  // reconnect re-sends it with the rest of the window.
   PeerState& p = peers_[peer];
   if (!p.dead && !p.reconnect_tried) {
     p.reconnect_tried = true;
     if (inner_.reconnect(peer)) {
-      p.reconnect_tried = false;
-      touch(peer);
+      relinked(peer);
     } else if (!lingering_) {
       peer_dead(peer, "link lost and reconnect failed");
     }
   }
   return false;
+}
+
+void ReliableEndpoint::relinked(std::size_t peer) {
+  PeerState& p = peers_[peer];
+  p.reconnect_tried = false;
+  touch(peer);
+  // The new link carries nothing that was in flight on the old one: re-send
+  // the whole window now rather than on its retransmit timers, so the
+  // retransmission happens (and is counted) before control returns to the
+  // protocol body.
+  for (auto& [rseq, out] : p.outstanding) {
+    ++counters_.retransmits;
+    inner_.send(peer, out.envelope);
+  }
 }
 
 bool ReliableEndpoint::send(std::size_t to, TransportMessage message) {
@@ -411,13 +424,7 @@ void ReliableEndpoint::check_links(Clock::time_point now) {
       if (!p.reconnect_tried) {
         p.reconnect_tried = true;
         if (inner_.reconnect(i)) {
-          p.reconnect_tried = false;
-          touch(i);
-          // The wire forgot everything in flight; re-send the window now.
-          for (auto& [rseq, out] : p.outstanding) {
-            ++counters_.retransmits;
-            inner_.send(i, out.envelope);
-          }
+          relinked(i);
         } else {
           peer_dead(i, "link lost and reconnect failed");
         }

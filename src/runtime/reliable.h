@@ -148,6 +148,7 @@ class ReliableEndpoint final : public Endpoint {
   void send_ack(std::size_t peer, std::uint64_t rseq);
   void send_beacon(std::size_t peer, std::uint8_t kind);
   bool inner_send(std::size_t peer, TransportMessage frame);
+  void relinked(std::size_t peer);
   void touch(std::size_t peer);
   void peer_dead(std::size_t peer, const std::string& why);
   [[nodiscard]] std::string peer_name(std::size_t peer) const;

@@ -5,12 +5,17 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
@@ -49,6 +54,11 @@ constexpr std::chrono::milliseconds kBackoffMax{250};
 /// listener never went away, and a SIGKILLed peer fails every attempt
 /// anyway.
 constexpr int kReconnectAttempts = 6;
+
+/// Inbound bytes land in a per-link staging buffer of this size and small
+/// frames parse from there.  A frame too large for it has its body read
+/// straight into the buffer that becomes the TransportMessage payload.
+constexpr std::size_t kStagingBytes = 64 * 1024;
 
 using Clock = std::chrono::steady_clock;
 
@@ -149,6 +159,23 @@ std::size_t read_hello(int fd, std::size_t endpoint_count,
   util::check(h.from < endpoint_count,
               "socket transport: hello from an unknown endpoint id");
   return h.from;
+}
+
+/// Bytes queued for reading on `fd` (FIONREAD).
+std::size_t queued_bytes(int fd) {
+  int n = 0;
+  if (::ioctl(fd, FIONREAD, &n) < 0) {
+    fail_errno("socket transport: ioctl(FIONREAD) failed");
+  }
+  return static_cast<std::size_t>(std::max(n, 0));
+}
+
+/// The kernel send buffer granted on `fd` (SO_SNDBUF; 0 if unreadable).
+std::size_t send_buffer_bytes(int fd) {
+  int n = 0;
+  socklen_t len = sizeof(n);
+  if (::getsockopt(fd, SOL_SOCKET, SO_SNDBUF, &n, &len) < 0) return 0;
+  return static_cast<std::size_t>(std::max(n, 0));
 }
 
 bool retryable_connect_errno(int err) {
@@ -263,15 +290,14 @@ class SocketTransport::SocketEndpoint final : public Endpoint {
   void adopt(std::size_t peer, int fd) {
     set_nonblocking(fd);
     Peer& p = peers_[peer];
-    close_fd(p.fd);
+    // A new incarnation of the link starts with empty stream state:
+    // dangling inbound bytes (a half-read body included) are garbage, so it
+    // never completes an old frame, and queued outbound frames are the
+    // reliable layer's to retransmit.
+    close_link(p);
     p.fd = fd;
-    // Stale stream state from a previous incarnation of the link must not
-    // leak into the new one: dangling inbound bytes are garbage, queued
-    // outbound frames are the reliable layer's to retransmit.
-    p.in.clear();
-    p.in_pos = 0;
-    p.out.clear();
-    p.out_pos = 0;
+    p.sized_for = send_buffer_bytes(fd);
+    p.staging.resize(kStagingBytes);
   }
 
   [[nodiscard]] bool has(std::size_t peer) const {
@@ -292,15 +318,14 @@ class SocketTransport::SocketEndpoint final : public Endpoint {
     Peer& peer = peers_[to];
     if (peer.fd < 0) return false;  // link down; reconnect() may revive it
 
-    std::vector<std::uint8_t> frame;
-    const std::span<const std::uint8_t> body =
-        message.payload ? std::span<const std::uint8_t>(*message.payload)
-                        : std::span<const std::uint8_t>{};
-    comm::encode_frame({.kind = message.kind,
+    OutFrame frame{.head = comm::encode_frame_header(
+                       {.kind = message.kind,
                         .from = static_cast<std::uint16_t>(message.from),
                         .seq = message.seq,
-                        .body_len = body.size()},
-                       body, frame);
+                        .body_len = message.body_size()}),
+                   .payload = std::move(message.payload),
+                   .kind = message.kind};
+    fit_send_buffer(peer, frame.size());
     peer.out.push_back(std::move(frame));
 
     // Flush opportunistically; while this peer's queue is over its bound,
@@ -399,19 +424,59 @@ class SocketTransport::SocketEndpoint final : public Endpoint {
   }
 
  private:
+  /// One queued outbound frame: its encoded header and the shared payload,
+  /// written together by sendmsg.  The shared_ptr keeps the payload alive
+  /// until its last byte is written, whatever the sender does with its own
+  /// reference after send() returns.
+  struct OutFrame {
+    std::array<std::uint8_t, comm::kFrameHeaderBytes> head{};
+    std::shared_ptr<const std::vector<std::uint8_t>> payload;
+    std::uint8_t kind = 0;
+
+    [[nodiscard]] std::size_t size() const {
+      return head.size() + (payload ? payload->size() : 0);
+    }
+  };
+
   struct Peer {
     int fd = -1;
-    std::vector<std::uint8_t> in;  ///< unparsed inbound bytes
-    std::size_t in_pos = 0;        ///< parsed prefix of `in`
-    std::deque<std::vector<std::uint8_t>> out;  ///< frames awaiting write
-    std::size_t out_pos = 0;  ///< bytes of out.front() already written
+    /// Frames up to this size need no larger kernel send buffer: the
+    /// buffer granted on `fd`, or the largest size already requested (a
+    /// request the kernel capped is not repeated).
+    std::size_t sized_for = 0;
+    std::vector<std::uint8_t> staging;  ///< kStagingBytes once adopted
+    std::size_t staged_begin = 0;  ///< first unparsed byte of `staging`
+    std::size_t staged_end = 0;    ///< one past the last received byte
+    /// Non-null while a body too large for `staging` is read straight into
+    /// it; `body_header` is that frame's header.
+    std::shared_ptr<std::vector<std::uint8_t>> body;
+    comm::FrameHeader body_header;
+    std::deque<OutFrame> out;  ///< frames awaiting write
+    std::size_t out_pos = 0;   ///< bytes of out.front() already written
     std::uint64_t frames_written = 0;  ///< fully written frames (cut knob)
   };
 
+  /// Closes the link and drops its stream state in both directions.
   static void close_link(Peer& p) {
     close_fd(p.fd);
     p.out.clear();
     p.out_pos = 0;
+    p.staged_begin = 0;
+    p.staged_end = 0;
+    p.body.reset();
+  }
+
+  /// Grows the link's kernel send buffer to hold a whole `frame_bytes`
+  /// frame, so one sendmsg hands it to the kernel even while the peer is
+  /// busy elsewhere.  Never shrinks.  The kernel caps the request at
+  /// net.core.wmem_max, then doubles it; past the cap, frames cross in
+  /// pieces.
+  static void fit_send_buffer(Peer& p, std::size_t frame_bytes) {
+    if (frame_bytes <= p.sized_for) return;
+    const int want =
+        static_cast<int>(std::min<std::size_t>(frame_bytes, INT_MAX));
+    (void)::setsockopt(p.fd, SOL_SOCKET, SO_SNDBUF, &want, sizeof(want));
+    p.sized_for = std::max(frame_bytes, send_buffer_bytes(p.fd));
   }
 
   [[nodiscard]] bool all_links_closed() const {
@@ -425,110 +490,193 @@ class SocketTransport::SocketEndpoint final : public Endpoint {
   /// in ready_), write whatever the send queues hold.  timeout_ms as in
   /// poll(): -1 blocks, 0 polls.
   void pump(int timeout_ms) {
-    std::vector<struct pollfd> fds;
-    std::vector<std::size_t> ids;
-    fds.reserve(count_);
-    ids.reserve(count_);
+    poll_fds_.clear();
+    poll_ids_.clear();
     for (std::size_t i = 0; i < count_; ++i) {
       const Peer& p = peers_[i];
       if (p.fd < 0) continue;
       short events = POLLIN;
       if (!p.out.empty()) events |= POLLOUT;
-      fds.push_back({.fd = p.fd, .events = events, .revents = 0});
-      ids.push_back(i);
+      poll_fds_.push_back({.fd = p.fd, .events = events, .revents = 0});
+      poll_ids_.push_back(i);
     }
-    if (fds.empty()) return;
-    const int rc = ::poll(fds.data(), fds.size(), timeout_ms);
+    if (poll_fds_.empty()) return;
+    const int rc = ::poll(poll_fds_.data(), poll_fds_.size(), timeout_ms);
     if (rc < 0) {
       if (errno == EINTR) return;
       fail_errno("socket transport: poll failed");
     }
-    for (std::size_t k = 0; k < fds.size(); ++k) {
-      const std::size_t i = ids[k];
-      if (fds[k].revents & (POLLIN | POLLHUP | POLLERR)) drain_reads(i);
-      if (peers_[i].fd >= 0 && (fds[k].revents & POLLOUT)) flush_writes(i);
+    for (std::size_t k = 0; k < poll_fds_.size(); ++k) {
+      const std::size_t i = poll_ids_[k];
+      const short revents = poll_fds_[k].revents;
+      if (revents & (POLLIN | POLLHUP | POLLERR)) drain_reads(i);
+      if (peers_[i].fd >= 0 && (revents & POLLOUT)) flush_writes(i);
     }
   }
 
+  /// Reads everything link `i` has queued.
   void drain_reads(std::size_t i) {
-    Peer& p = peers_[i];
-    std::uint8_t buf[64 * 1024];
     for (;;) {
-      const ssize_t got = ::recv(p.fd, buf, sizeof(buf), 0);
-      if (got > 0) {
-        p.in.insert(p.in.end(), buf, buf + got);
-        continue;
-      }
+      const ssize_t got = peers_[i].body ? read_body(i) : read_staged(i);
+      if (got > 0) continue;
       if (got == 0 || errno == ECONNRESET) {
-        // End of stream.  Complete frames already buffered stay
-        // receivable; a partial frame means the peer died (or lied about
-        // body_len) mid-message.  Strict mode fails fast; recovery mode
-        // discards the dangling bytes — the reliable layer retransmits
-        // whatever they were part of.
-        parse_frames(i);
-        const std::size_t dangling = p.in.size() - p.in_pos;
-        close_link(p);
-        p.in.clear();
-        p.in_pos = 0;
-        if (dangling > 0 && !recovery_) {
-          util::check_fail(
-              "socket transport: truncated frame mid-stream from endpoint " +
-              std::to_string(i) + " (" + std::to_string(dangling) +
-              " dangling bytes)");
-        }
+        end_of_stream(i);
         return;
       }
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       fail_errno("socket transport: recv failed");
     }
-    parse_frames(i);
   }
 
-  void parse_frames(std::size_t i) {
+  /// One recv into link `i`'s staging buffer, then a parse; returns recv's
+  /// result.
+  ssize_t read_staged(std::size_t i) {
     Peer& p = peers_[i];
-    for (;;) {
-      const std::size_t avail = p.in.size() - p.in_pos;
-      if (avail < comm::kFrameHeaderBytes) break;
-      const std::span<const std::uint8_t> view(p.in.data() + p.in_pos,
-                                               avail);
+    if (p.staged_end == p.staging.size()) {
+      // Full: move the unparsed tail (less than one frame, since a frame
+      // that fits the buffer parses once it is all here) to the front.
+      std::memmove(p.staging.data(), p.staging.data() + p.staged_begin,
+                   p.staged_end - p.staged_begin);
+      p.staged_end -= p.staged_begin;
+      p.staged_begin = 0;
+    }
+    const ssize_t got = ::recv(p.fd, p.staging.data() + p.staged_end,
+                               p.staging.size() - p.staged_end, 0);
+    if (got > 0) {
+      p.staged_end += static_cast<std::size_t>(got);
+      parse_staged(i);
+    }
+    return got;
+  }
+
+  /// One recv straight into link `i`'s open large body; returns recv's
+  /// result.  The body grows only by what FIONREAD reports queued, so
+  /// memory follows the bytes received: a hostile header announcing
+  /// kMaxFrameBody costs only what its sender actually sent.
+  ssize_t read_body(std::size_t i) {
+    Peer& p = peers_[i];
+    const std::size_t filled = p.body->size();
+    const std::size_t want =
+        std::min(p.body_header.body_len - filled, queued_bytes(p.fd));
+    if (want == 0) {
+      // Nothing queued: peek to tell an idle link from end of stream.
+      std::uint8_t probe = 0;
+      return ::recv(p.fd, &probe, 1, MSG_PEEK);
+    }
+    p.body->resize(filled + want);
+    const ssize_t got = ::recv(p.fd, p.body->data() + filled, want, 0);
+    // A shrinking resize calls nothing that could clobber recv's errno.
+    p.body->resize(got > 0 ? filled + static_cast<std::size_t>(got) : filled);
+    if (p.body->size() == p.body_header.body_len) {
+      ready_.push_back({.kind = p.body_header.kind,
+                        .from = p.body_header.from,
+                        .seq = p.body_header.seq,
+                        .payload = std::move(p.body)});
+    }
+    return got;
+  }
+
+  /// Parses the complete frames in link `i`'s staging buffer into ready_.
+  /// Every header is validated before any body memory is committed.  A
+  /// frame too large for the buffer opens a direct body read: the body
+  /// bytes that arrived with the header seed its buffer, the rest is read
+  /// straight into it.
+  void parse_staged(std::size_t i) {
+    Peer& p = peers_[i];
+    while (p.staged_end - p.staged_begin >= comm::kFrameHeaderBytes) {
+      const std::span<const std::uint8_t> view(
+          p.staging.data() + p.staged_begin, p.staged_end - p.staged_begin);
       // Strict: bad magic / version / reserved bytes / oversized body_len
       // throw util::CheckError out of recv()/send() — a corrupt stream is a
       // session error, not a hang.
       const comm::FrameHeader header = comm::decode_frame_header(view);
-      if (avail < comm::kFrameHeaderBytes + header.body_len) break;
       util::check(header.from == i,
                   "socket transport: frame from the wrong peer on this link");
       util::check(header.kind != kHelloKind,
                   "socket transport: unexpected handshake frame mid-stream");
       const auto* body = view.data() + comm::kFrameHeaderBytes;
+      const std::size_t frame_bytes = comm::kFrameHeaderBytes + header.body_len;
+      if (frame_bytes > p.staging.size()) {
+        // The staged bytes are all this frame's: it is larger than the
+        // whole buffer.
+        p.body_header = header;
+        p.body = std::make_shared<std::vector<std::uint8_t>>(
+            body, view.data() + view.size());
+        p.staged_begin = 0;
+        p.staged_end = 0;
+        return;
+      }
+      if (view.size() < frame_bytes) break;
       ready_.push_back(
           {.kind = header.kind,
            .from = header.from,
            .seq = header.seq,
            .payload = std::make_shared<const std::vector<std::uint8_t>>(
                body, body + header.body_len)});
-      p.in_pos += comm::kFrameHeaderBytes + header.body_len;
+      p.staged_begin += frame_bytes;
     }
-    // Compact the consumed prefix once it dominates the buffer, keeping the
-    // pump O(bytes) overall instead of O(bytes^2).
-    if (p.in_pos == p.in.size()) {
-      p.in.clear();
-      p.in_pos = 0;
-    } else if (p.in_pos > (64U * 1024U)) {
-      p.in.erase(p.in.begin(),
-                 p.in.begin() + static_cast<std::ptrdiff_t>(p.in_pos));
-      p.in_pos = 0;
+    if (p.staged_begin == p.staged_end) {
+      p.staged_begin = 0;
+      p.staged_end = 0;
+    }
+  }
+
+  /// EOF or reset on link `i`.  Complete frames are already in ready_; any
+  /// bytes left are a partial frame: the peer died (or lied about body_len)
+  /// mid-message.  Strict mode fails fast; recovery mode discards the
+  /// dangling bytes, and the reliable layer retransmits whatever they were
+  /// part of.
+  void end_of_stream(std::size_t i) {
+    Peer& p = peers_[i];
+    const std::size_t dangling =
+        p.staged_end - p.staged_begin +
+        (p.body ? comm::kFrameHeaderBytes + p.body->size() : 0);
+    close_link(p);
+    if (dangling > 0 && !recovery_) {
+      util::check_fail(
+          "socket transport: truncated frame mid-stream from endpoint " +
+          std::to_string(i) + " (" + std::to_string(dangling) +
+          " dangling bytes)");
     }
   }
 
   void flush_writes(std::size_t i) {
     Peer& p = peers_[i];
     while (!p.out.empty()) {
-      const std::vector<std::uint8_t>& front = p.out.front();
-      const std::size_t remaining = front.size() - p.out_pos;
-      const ssize_t sent = ::send(p.fd, front.data() + p.out_pos, remaining,
-                                  MSG_NOSIGNAL);
+      OutFrame& front = p.out.front();
+      // Deterministic chaos knob: the first reliable data envelope at or
+      // after frame `cut_after_` is written only in part, then the link is
+      // hard-closed, exactly once.  The peer discards the dangling bytes
+      // and can never ack that envelope, so the reliable layer must
+      // reconnect and retransmit it.
+      const bool cut_here = i == cut_peer_ && !cut_done_ &&
+                            front.kind == comm::kReliableDataKind &&
+                            p.frames_written >= cut_after_;
+      const std::size_t end = cut_here ? front.size() / 2 : front.size();
+      if (cut_here && p.out_pos == end) {
+        cut_done_ = true;
+        close_link(p);
+        return;
+      }
+      // Bytes [out_pos, end) of header ++ payload, in one sendmsg.
+      constexpr std::size_t kHead = comm::kFrameHeaderBytes;
+      std::array<struct iovec, 2> iov{};
+      std::size_t segments = 0;
+      if (p.out_pos < kHead) {
+        iov[segments++] = {.iov_base = front.head.data() + p.out_pos,
+                           .iov_len = std::min(end, kHead) - p.out_pos};
+      }
+      if (end > kHead) {
+        const std::size_t from = std::max(p.out_pos, kHead) - kHead;
+        iov[segments++] = {
+            .iov_base = const_cast<std::uint8_t*>(front.payload->data()) + from,
+            .iov_len = end - kHead - from};
+      }
+      struct msghdr msg{};
+      msg.msg_iov = iov.data();
+      msg.msg_iovlen = segments;
+      const ssize_t sent = ::sendmsg(p.fd, &msg, MSG_NOSIGNAL);
       if (sent < 0) {
         if (errno == EINTR) continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -545,14 +693,6 @@ class SocketTransport::SocketEndpoint final : public Endpoint {
         p.out.pop_front();
         p.out_pos = 0;
         ++p.frames_written;
-        if (i == cut_peer_ && !cut_done_ &&
-            p.frames_written >= cut_after_) {
-          // Deterministic chaos knob: hard-close the link exactly once.
-          // The peer sees EOF; the reliable layer reconnects/retransmits.
-          cut_done_ = true;
-          close_link(p);
-          return;
-        }
       }
     }
   }
@@ -636,6 +776,9 @@ class SocketTransport::SocketEndpoint final : public Endpoint {
   std::vector<Peer> peers_;
   std::deque<TransportMessage> ready_;
   TransportCounters counters_;
+  // pump()'s poll set, kept across calls so a pump allocates nothing.
+  std::vector<struct pollfd> poll_fds_;
+  std::vector<std::size_t> poll_ids_;
 };
 
 SocketTransport::SocketTransport(std::size_t endpoints,

@@ -36,10 +36,22 @@
 // engine flushes every worker before _exit and the coordinator after its
 // protocol body).
 //
+// Data path: a send-queue entry is the encoded frame header plus the
+// message's shared payload pointer, and one sendmsg writes both, so a
+// payload is never copied in user space.  The entry owns the payload until
+// its last byte is written.  A link's kernel send buffer grows
+// (SO_SNDBUF, never shrunk, capped by net.core.wmem_max) to hold the
+// largest frame queued on it, so a large frame reaches the kernel in one
+// hand-off while its receiver is busy elsewhere.  Inbound frames up to
+// 64 KiB parse from a per-link staging buffer; a larger body is read
+// straight into the buffer that becomes the TransportMessage payload, and
+// grows only by what FIONREAD reports queued.
+//
 // The stream decoder is strict: every frame header goes through
 // comm::decode_frame_header (bad magic / version / reserved bytes /
 // oversized body_len throw), a frame whose `from` is not the peer on that
-// link is rejected, and EOF with a partial frame buffered is reported as a
+// link or that is a hello is rejected — all before any body memory is
+// committed — and EOF with a partial frame buffered is reported as a
 // truncated stream.  Failures surface as util::CheckError from send()/
 // recv() — the engines route them into their error paths (ErrorSink slots
 // under threads, session failure in the process engine) rather than hang.
@@ -52,8 +64,10 @@
 // quietly: EOF discards any dangling partial frame instead of throwing, and
 // reconnect() re-establishes the link with backoff — the original connector
 // re-connects to the peer's listener, the original acceptor re-accepts on
-// its own listener.  Frames lost with the link are the reliable layer's
-// problem (retransmission), which is why recovery mode requires it.
+// its own listener.  A new link starts with empty stream state: it never
+// completes a frame half-read on the old one.  Frames lost with the link
+// are the reliable layer's problem (retransmission), which is why recovery
+// mode requires it.
 #pragma once
 
 #include <cstddef>
@@ -115,9 +129,11 @@ class SocketTransport final : public Transport {
   /// link.  Call before forking.
   void set_link_recovery(bool enabled);
 
-  /// Deterministic one-shot link cut (chaos tests): the endpoint `from`
-  /// hard-closes its link to `to` after fully writing `after` frames.  Call
-  /// before forking; requires link-recovery mode to be survivable.
+  /// Deterministic one-shot link cut (chaos tests): once the endpoint
+  /// `from` has fully written `after` frames to `to`, it writes only part of
+  /// the next reliable data envelope (comm::kReliableDataKind) on that link
+  /// and hard-closes it.  Call before forking; requires link-recovery mode
+  /// to be survivable.
   void set_link_cut(std::size_t from, std::size_t to, std::size_t after);
 
  private:

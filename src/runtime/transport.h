@@ -39,11 +39,14 @@
 namespace sidco::runtime {
 
 /// One message between endpoints.  The payload is a shared immutable buffer:
-/// broadcasting to N-1 peers copies a pointer, not the bytes (a real NIC
-/// would DMA the same buffer; copying it N times would measure memcpy
-/// bandwidth, not exchange behavior).  `kind` and `seq` are protocol tags
-/// owned by the topology layer; the transport carries them opaquely (on
-/// sockets they ride the frame header, comm/frame.h).
+/// broadcasting to N-1 peers copies a pointer, not the bytes, on every
+/// transport (a real NIC would DMA the same buffer; copying it N times would
+/// measure memcpy bandwidth, not exchange behavior).  On sockets the send
+/// queue holds that pointer until the kernel has taken the last byte, and a
+/// large received body is read straight into the payload buffer.  `kind`
+/// and `seq` are protocol tags owned by the topology layer; the transport
+/// carries them opaquely (on sockets they ride the frame header,
+/// comm/frame.h).
 struct TransportMessage {
   std::uint8_t kind = 0;
   std::size_t from = 0;

@@ -1,20 +1,29 @@
 // Transport layer suite (runtime/transport.h, runtime/socket_transport.h,
 // comm/frame.h): in-memory endpoint semantics (per-producer FIFO, the
 // drain-own-inbox no-deadlock rule, shutdown wake-ups), strict frame-header
-// decoding, socket mesh round-trips over both address families, and fault
-// injection against a live socket endpoint — truncated frame mid-stream,
-// peer closing during the handshake, oversized frame header — all of which
-// must fail fast with descriptive CheckErrors, never hang.  Runs under
-// ASan/UBSan and TSan in CI (labels `unit;runtime`).
+// decoding, socket mesh round-trips over both address families, the socket
+// framing (frames split at every byte offset, staged and directly read
+// bodies back to back, payload ownership while queued, whole-frame kernel
+// send buffers), and fault injection against a live socket endpoint —
+// truncated frame mid-stream, peer closing during the handshake, oversized
+// or hostile frame headers — all of which must fail fast with descriptive
+// CheckErrors, never hang.  Runs under ASan/UBSan and TSan in CI (labels
+// `unit;runtime`).
 #include <gtest/gtest.h>
 
+#include <linux/sockios.h>
+#include <sys/ioctl.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
+#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -55,6 +64,27 @@ void put_u32_at(std::uint8_t* p, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
+/// Header + body as one contiguous frame, the bytes a peer puts on the wire.
+/// `body` may be shorter than header.body_len, to forge a truncated frame.
+std::vector<std::uint8_t> frame_bytes(const comm::FrameHeader& header,
+                                      std::span<const std::uint8_t> body = {}) {
+  const auto head = comm::encode_frame_header(header);
+  std::vector<std::uint8_t> out(head.size() + body.size());
+  std::copy(head.begin(), head.end(), out.begin());
+  std::copy(body.begin(), body.end(), out.begin() + head.size());
+  return out;
+}
+
+/// `len` bytes of a position-dependent pattern, so a misplaced, dropped or
+/// duplicated byte shows up in an equality check.
+std::vector<std::uint8_t> patterned(std::size_t len, std::uint8_t salt) {
+  std::vector<std::uint8_t> out(len);
+  for (std::size_t k = 0; k < len; ++k) {
+    out[k] = static_cast<std::uint8_t>((k * 131 + (k >> 8) * 7 + salt) & 0xFF);
+  }
+  return out;
+}
+
 /// Calls `body` and asserts it throws util::CheckError whose message
 /// contains `needle`.
 template <typename Body>
@@ -82,20 +112,6 @@ TEST(Frame, HeaderRoundTripsEveryField) {
   EXPECT_EQ(back.from, header.from);
   EXPECT_EQ(back.seq, header.seq);
   EXPECT_EQ(back.body_len, header.body_len);
-}
-
-TEST(Frame, EncodeFrameAppendsHeaderThenBody) {
-  std::vector<std::uint8_t> out{0xAA};  // pre-existing bytes survive
-  const std::vector<std::uint8_t> body{1, 2, 3};
-  comm::encode_frame(
-      {.kind = 1, .from = 2, .seq = 9, .body_len = body.size()}, body, out);
-  ASSERT_EQ(out.size(), 1 + comm::kFrameHeaderBytes + body.size());
-  const std::span<const std::uint8_t> view(out.data() + 1, out.size() - 1);
-  const comm::FrameHeader header = comm::decode_frame_header(view);
-  EXPECT_EQ(header.body_len, body.size());
-  EXPECT_EQ(std::vector<std::uint8_t>(
-                view.begin() + comm::kFrameHeaderBytes, view.end()),
-            body);
 }
 
 TEST(Frame, StrictDecodeRejectsHostileHeaders) {
@@ -319,6 +335,10 @@ TEST(SocketTransport, MutualLargeBurstsRespectQueueBoundWithoutDeadlock) {
   // Large payloads with a capacity-1 send queue: both sides burst before
   // receiving, so kernel socket buffers fill and send() must block in its
   // pump — which keeps reading — rather than deadlock write-against-write.
+  // A 64 KiB frame fits the default kernel send buffer
+  // (net.core.wmem_default, typically 208 KiB), so the transport never
+  // enlarges it here: the 40-frame burst overruns the kernel buffer and the
+  // blocking path stays exercised.
   constexpr std::uint64_t kMessages = 40;
   const auto payload = std::make_shared<const std::vector<std::uint8_t>>(
       std::vector<std::uint8_t>(64 * 1024, 0xCD));
@@ -402,17 +422,25 @@ void read_all(int fd, std::uint8_t* data, std::size_t len) {
   }
 }
 
-/// Connects a raw client to endpoint 0 of `transport` and completes the
-/// handshake as endpoint 1.  Returns the raw fd; establish(0) must be called
-/// afterwards (the hello sits in the socket buffer until then) — here both
-/// sides run in this thread, which works because every handshake message
-/// fits the kernel buffers.
-int handshake_as_peer_one(SocketTransport& transport) {
+struct RawPeer {
+  int fd;
+  Endpoint& ep;
+};
+
+/// Connects a raw client to endpoint 0 of `transport`, completes the
+/// handshake as endpoint 1, and establishes endpoint 0.  Both sides run in
+/// this thread: the client's hello waits in the socket buffer until
+/// establish(0) reads it, which works because every handshake message fits
+/// the kernel buffers.
+RawPeer raw_peer_link(SocketTransport& transport) {
   const int fd = connect_unix(transport.address(0));
   const auto hello = comm::encode_frame_header(
       {.kind = 0, .from = 1, .seq = 0, .body_len = 0});
   write_all(fd, hello.data(), hello.size());
-  return fd;
+  Endpoint& ep = transport.establish(0);
+  std::uint8_t reply[comm::kFrameHeaderBytes];
+  read_all(fd, reply, sizeof(reply));  // endpoint 0's hello
+  return {fd, ep};
 }
 
 TEST(SocketTransport, PeerClosingDuringHandshakeFailsFast) {
@@ -446,37 +474,30 @@ TEST(SocketTransport, HelloFromImpossiblePeerIsRejected) {
 
 TEST(SocketTransport, TruncatedFrameMidStreamFailsFast) {
   SocketTransport transport(2, 4);
-  const int fd = handshake_as_peer_one(transport);
-  Endpoint& ep = transport.establish(0);
-  std::uint8_t reply[comm::kFrameHeaderBytes];
-  read_all(fd, reply, sizeof(reply));  // endpoint 0's hello
+  const RawPeer link = raw_peer_link(transport);
 
   // A frame announcing a 100-byte body, followed by only 10 bytes and EOF:
   // the decoder must report a truncated stream, not wait forever for the
-  // rest.  (encode_frame validates body size, so assemble by hand.)
-  const auto head = comm::encode_frame_header(
-      {.kind = 2, .from = 1, .seq = 0, .body_len = 100});
-  std::vector<std::uint8_t> frame(head.begin(), head.end());
-  frame.insert(frame.end(), 10, 0x11);
-  write_all(fd, frame.data(), frame.size());
-  ::close(fd);
-  expect_check_error([&] { ep.recv(); }, "truncated frame mid-stream");
+  // rest.
+  const auto frame =
+      frame_bytes({.kind = 2, .from = 1, .seq = 0, .body_len = 100},
+                  std::vector<std::uint8_t>(10, 0x11));
+  write_all(link.fd, frame.data(), frame.size());
+  ::close(link.fd);
+  expect_check_error([&] { link.ep.recv(); }, "truncated frame mid-stream");
 }
 
 TEST(SocketTransport, OversizedFrameHeaderFailsFast) {
   SocketTransport transport(2, 4);
-  const int fd = handshake_as_peer_one(transport);
-  Endpoint& ep = transport.establish(0);
-  std::uint8_t reply[comm::kFrameHeaderBytes];
-  read_all(fd, reply, sizeof(reply));
+  const RawPeer link = raw_peer_link(transport);
 
   auto evil = comm::encode_frame_header(
       {.kind = 2, .from = 1, .seq = 0, .body_len = 0});
   put_u32_at(evil.data() + 12,
              static_cast<std::uint32_t>(comm::kMaxFrameBody + 1));
-  write_all(fd, evil.data(), evil.size());
-  expect_check_error([&] { ep.recv(); }, "oversized");
-  ::close(fd);
+  write_all(link.fd, evil.data(), evil.size());
+  expect_check_error([&] { link.ep.recv(); }, "oversized");
+  ::close(link.fd);
 }
 
 TEST(SocketTransport, FrameFromWrongPeerOnLinkIsRejected) {
@@ -496,9 +517,8 @@ TEST(SocketTransport, FrameFromWrongPeerOnLinkIsRejected) {
   read_all(fd1, reply, sizeof(reply));
 
   // A frame on link 1 whose header claims from=2 (peer spoofing).
-  std::vector<std::uint8_t> frame;
-  comm::encode_frame({.kind = 2, .from = 2, .seq = 0, .body_len = 0}, {},
-                     frame);
+  const auto frame =
+      frame_bytes({.kind = 2, .from = 2, .seq = 0, .body_len = 0});
   write_all(fd1, frame.data(), frame.size());
   expect_check_error([&] { ep.recv(); }, "wrong peer");
   ::close(fd1);
@@ -507,29 +527,227 @@ TEST(SocketTransport, FrameFromWrongPeerOnLinkIsRejected) {
 
 TEST(SocketTransport, CleanPeerCloseIsEndOfStreamAfterBufferedFrames) {
   SocketTransport transport(2, 4);
-  const int fd = handshake_as_peer_one(transport);
-  Endpoint& ep = transport.establish(0);
-  std::uint8_t reply[comm::kFrameHeaderBytes];
-  read_all(fd, reply, sizeof(reply));
+  const RawPeer link = raw_peer_link(transport);
 
   // Two complete frames, then a clean close: both frames must still be
   // received, then recv reports end-of-stream (nullopt), not an error.
-  std::vector<std::uint8_t> frames;
-  comm::encode_frame({.kind = 2, .from = 1, .seq = 0, .body_len = 3},
-                     std::vector<std::uint8_t>{7, 8, 9}, frames);
-  comm::encode_frame({.kind = 2, .from = 1, .seq = 1, .body_len = 0}, {},
-                     frames);
-  write_all(fd, frames.data(), frames.size());
-  ::close(fd);
+  const std::vector<std::uint8_t> body{7, 8, 9};
+  std::vector<std::uint8_t> frames =
+      frame_bytes({.kind = 2, .from = 1, .seq = 0, .body_len = 3}, body);
+  const auto empty =
+      frame_bytes({.kind = 2, .from = 1, .seq = 1, .body_len = 0});
+  frames.insert(frames.end(), empty.begin(), empty.end());
+  write_all(link.fd, frames.data(), frames.size());
+  ::close(link.fd);
 
-  const std::optional<TransportMessage> first = ep.recv();
+  const std::optional<TransportMessage> first = link.ep.recv();
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->seq, 0U);
   EXPECT_EQ(*first->payload, (std::vector<std::uint8_t>{7, 8, 9}));
-  const std::optional<TransportMessage> second = ep.recv();
+  const std::optional<TransportMessage> second = link.ep.recv();
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->seq, 1U);
-  EXPECT_FALSE(ep.recv().has_value());  // all links closed -> EOS
+  EXPECT_FALSE(link.ep.recv().has_value());  // all links closed -> EOS
+}
+
+// ---------------------------------------------------------------------------
+// SocketTransport framing: frames arriving in arbitrary pieces, bodies too
+// large for the receive staging buffer (64 KiB) read straight into their
+// payload, and payload ownership while a frame waits in the send queue.
+// ---------------------------------------------------------------------------
+
+/// Bytes written on `fd` that its peer has not read yet (SIOCOUTQ).
+int unread_by_peer(int fd) {
+  int n = 0;
+  EXPECT_EQ(::ioctl(fd, SIOCOUTQ, &n), 0);
+  return n;
+}
+
+/// Writes `frame` in two writes split at `cut`.  The endpoint reads every
+/// byte of the first part before the second is written, and must not
+/// deliver anything until the frame is whole.
+void deliver_split(const RawPeer& link, const std::vector<std::uint8_t>& frame,
+                   std::size_t cut, std::optional<TransportMessage>& out) {
+  write_all(link.fd, frame.data(), cut);
+  while (unread_by_peer(link.fd) > 0) {
+    bool timed_out = false;
+    ASSERT_FALSE(link.ep.recv_for(std::chrono::milliseconds(1), timed_out)
+                     .has_value())
+        << "frame delivered before its last byte (cut " << cut << ")";
+  }
+  write_all(link.fd, frame.data() + cut, frame.size() - cut);
+  out = link.ep.recv();
+}
+
+TEST(SocketTransport, FrameSplitAtEveryByteOffsetReassembles) {
+  SocketTransport transport(2, 4);
+  const RawPeer link = raw_peer_link(transport);
+  std::uint64_t seq = 0;
+  const auto check_splits = [&](std::size_t body_len,
+                                const std::vector<std::size_t>& cuts) {
+    const std::vector<std::uint8_t> body =
+        patterned(body_len, static_cast<std::uint8_t>(body_len));
+    for (const std::size_t cut : cuts) {
+      SCOPED_TRACE("body " + std::to_string(body_len) + " cut " +
+                   std::to_string(cut));
+      const auto frame = frame_bytes(
+          {.kind = 2, .from = 1, .seq = seq, .body_len = body_len}, body);
+      std::optional<TransportMessage> m;
+      deliver_split(link, frame, cut, m);
+      ASSERT_TRUE(m.has_value());
+      EXPECT_EQ(m->seq, seq);
+      ASSERT_TRUE(m->payload != nullptr);
+      EXPECT_TRUE(*m->payload == body);
+      ++seq;
+    }
+  };
+  // A staged frame, split at every byte offset of its header and body.
+  constexpr std::size_t kSmall = 40;
+  std::vector<std::size_t> cuts;
+  for (std::size_t cut = 1; cut < comm::kFrameHeaderBytes + kSmall; ++cut) {
+    cuts.push_back(cut);
+  }
+  check_splits(kSmall, cuts);
+  // A directly read body: every offset of the header, then a stride through
+  // the body that crosses the staging-buffer size, and its last byte.
+  constexpr std::size_t kLarge = 100'003;
+  cuts.clear();
+  for (std::size_t cut = 1; cut <= comm::kFrameHeaderBytes; ++cut) {
+    cuts.push_back(cut);
+  }
+  for (std::size_t cut = comm::kFrameHeaderBytes + 1;
+       cut < comm::kFrameHeaderBytes + kLarge; cut += 997) {
+    cuts.push_back(cut);
+  }
+  cuts.push_back(comm::kFrameHeaderBytes + kLarge - 1);
+  check_splits(kLarge, cuts);
+  ::close(link.fd);
+}
+
+TEST(SocketTransport, StagedAndDirectBodiesBackToBackInOneWrite) {
+  SocketTransport transport(2, 4);
+  const RawPeer link = raw_peer_link(transport);
+  const std::vector<std::vector<std::uint8_t>> bodies = {
+      patterned(37, 1), patterned(200 * 1024 + 5, 2), patterned(11, 3)};
+  std::vector<std::uint8_t> stream;
+  for (std::size_t k = 0; k < bodies.size(); ++k) {
+    const auto frame = frame_bytes({.kind = 2,
+                                    .from = 1,
+                                    .seq = k,
+                                    .body_len = bodies[k].size()},
+                                   bodies[k]);
+    stream.insert(stream.end(), frame.begin(), frame.end());
+  }
+  // One write; a thread, because it exceeds the raw client's send buffer.
+  std::thread writer(
+      [&] { write_all(link.fd, stream.data(), stream.size()); });
+  for (std::size_t k = 0; k < bodies.size(); ++k) {
+    const std::optional<TransportMessage> m = link.ep.recv();
+    EXPECT_TRUE(m.has_value());
+    if (!m) break;  // link closed: the writer fails too, so the join returns
+    EXPECT_EQ(m->seq, k);
+    EXPECT_TRUE(m->payload && *m->payload == bodies[k]);
+  }
+  writer.join();
+  ::close(link.fd);
+}
+
+TEST(SocketTransport, TruncatedDirectlyReadBodyFailsFast) {
+  SocketTransport transport(2, 4);
+  const RawPeer link = raw_peer_link(transport);
+  // A 1 MiB body announced, 100 KiB of it sent, then EOF.
+  const auto frame =
+      frame_bytes({.kind = 2, .from = 1, .seq = 0, .body_len = 1 << 20},
+                  patterned(100 * 1024, 4));
+  write_all(link.fd, frame.data(), frame.size());
+  ::close(link.fd);
+  expect_check_error([&] { link.ep.recv(); }, "truncated frame mid-stream");
+}
+
+TEST(SocketTransport, HostileMaxBodyHeaderCostsOnlyTheBytesSent) {
+  // A header announcing kMaxFrameBody (1 GiB) followed by 1 KiB and EOF:
+  // the receiver must commit memory for what arrived, not for what was
+  // announced.
+  SocketTransport transport(2, 4);
+  const RawPeer link = raw_peer_link(transport);
+  const auto frame = frame_bytes(
+      {.kind = 2, .from = 1, .seq = 0, .body_len = comm::kMaxFrameBody},
+      patterned(1024, 5));
+  write_all(link.fd, frame.data(), frame.size());
+  ::close(link.fd);
+  expect_check_error([&] { link.ep.recv(); }, "truncated frame mid-stream");
+  struct rusage usage{};
+  ASSERT_EQ(::getrusage(RUSAGE_SELF, &usage), 0);
+  EXPECT_LT(usage.ru_maxrss, 256L * 1024L) << "max RSS in KiB";
+}
+
+TEST(SocketTransport, QueuedPayloadOutlivesTheSendersReference) {
+  // Frames larger than the kernel accepts at once (net.core.wmem_max caps
+  // the send buffer), so send() returns with bytes still queued in user
+  // space.  The sender keeps no reference to the payload after send() and
+  // reuses the memory at once; the receiver must still get the original
+  // bytes.
+  constexpr std::size_t kBytes = 6 << 20;
+  constexpr std::uint64_t kFrames = 2;
+  SocketTransport transport(2, 4);
+  std::thread sender([&] {
+    Endpoint& ep = transport.establish(1);
+    for (std::uint64_t k = 0; k < kFrames; ++k) {
+      ASSERT_TRUE(ep.send(
+          0, {.kind = 1,
+              .from = 1,
+              .seq = k,
+              .payload = std::make_shared<const std::vector<std::uint8_t>>(
+                  patterned(kBytes, static_cast<std::uint8_t>(k)))}));
+      const std::vector<std::uint8_t> scribble(kBytes, 0xEE);
+      ASSERT_EQ(scribble[kBytes / 2], 0xEE);
+    }
+    ep.flush();
+  });
+  Endpoint& ep = transport.establish(0);
+  for (std::uint64_t k = 0; k < kFrames; ++k) {
+    const std::optional<TransportMessage> m = ep.recv();
+    EXPECT_TRUE(m.has_value());
+    if (!m) break;  // link closed: the sender fails too, so the join returns
+    EXPECT_EQ(m->seq, k);
+    EXPECT_TRUE(m->payload &&
+                *m->payload ==
+                    patterned(kBytes, static_cast<std::uint8_t>(k)));
+  }
+  sender.join();
+}
+
+TEST(SocketTransport, LargeFrameLeavesBeforeThePeerReads) {
+  // The kernel send buffer grows to hold a whole large frame, so flush()
+  // returns while the receiver is still busy elsewhere, before it calls
+  // recv() at all.  Without the resize, flush() would block until the
+  // receiver drained the frame in default-buffer-sized pieces.
+  constexpr std::size_t kBytes = 3 << 20;
+  std::ifstream wmem_max_file("/proc/sys/net/core/wmem_max");
+  std::size_t wmem_max = 0;
+  if (!(wmem_max_file >> wmem_max) || wmem_max < kBytes) {
+    GTEST_SKIP() << "net.core.wmem_max below 3 MiB: the kernel caps the "
+                    "send buffer under one frame";
+  }
+  const auto payload = std::make_shared<const std::vector<std::uint8_t>>(
+      patterned(kBytes, 6));
+  SocketTransport transport(2, 1);
+  std::future<void> sender = std::async(std::launch::async, [&] {
+    Endpoint& ep = transport.establish(1);
+    ASSERT_TRUE(
+        ep.send(0, {.kind = 1, .from = 1, .seq = 0, .payload = payload}));
+    ep.flush();
+  });
+  Endpoint& ep = transport.establish(0);
+  EXPECT_EQ(sender.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready)
+      << "flush() waited for the receiver: the frame did not fit the "
+         "kernel send buffer";
+  const std::optional<TransportMessage> m = ep.recv();  // unblocks a stuck
+  sender.get();                                         // sender too
+  ASSERT_TRUE(m.has_value());
+  ASSERT_TRUE(m->payload != nullptr);
+  EXPECT_TRUE(*m->payload == *payload);
 }
 
 // ---------------------------------------------------------------------------
@@ -677,6 +895,10 @@ TEST(ReliableEndpoint, ExactlyOnceInOrderOverAHeavilyFaultedFabric) {
       ++got;
     }
     ep.flush();  // drain window + bye fence before the thread goes quiet
+    // Quiet for good: later sends to this side fail fast instead of
+    // spinning on an inbox nobody drains (the peer's parting bye can still
+    // be on its way).
+    transport.close_endpoint(self);
   };
   std::thread peer([&] { run_side(1); });
   run_side(0);
