@@ -21,6 +21,13 @@
 // is a pure speed measurement and is gated alongside the seed-vs-fused
 // pairs.
 //
+// nn layer pairs: BM_ConvLayer{,Legacy} (ResNet20's 8->8 16x16 conv at
+// batch 16) and BM_DenseLayer{,Legacy} (VGG19's 1024x1024 FC at batch 8) run
+// one forward + backward through the vectorized nn::Conv2D / nn::Dense and
+// through the frozen scalar loops in tests/legacy_nn_kernels.h, the same copy
+// test_nn_kernels checks them against.  Results are bit-identical, so the
+// in-run legacy/vectorized ratio is pure speed and gated like the pairs above.
+//
 // The CI bench-smoke job stores this binary's JSON output (merged with
 // bench_codec's) as the committed baseline and
 // tools/check_bench_regression.py gates regressions on the multi-stage and
@@ -37,6 +44,9 @@
 #include "core/factory.h"
 #include "core/sidco_compressor.h"
 #include "core/threshold_estimator.h"
+#include "legacy_nn_kernels.h"
+#include "nn/conv2d.h"
+#include "nn/dense.h"
 #include "stats/distributions.h"
 #include "tensor/vector_ops.h"
 #include "util/rng.h"
@@ -392,6 +402,119 @@ void BM_CountAtLeastScalar(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_CountAtLeastScalar)->Arg(1 << 22);
+
+// ---------------------------------------------------------- nn layer kernels
+
+/// Normal values with about 40% exact zeros, like post-ReLU activations and
+/// their gradients.
+std::vector<float> relu_like(std::size_t n, sidco::util::Rng& rng) {
+  std::vector<float> v(n);
+  for (float& x : v) {
+    x = rng.uniform() < 0.4 ? 0.0F : static_cast<float>(rng.normal(0.0, 1.0));
+  }
+  return v;
+}
+
+/// A bound layer plus one batch of input and output gradient.
+template <typename LayerT>
+struct LayerBench {
+  LayerT layer;
+  std::size_t batch;
+  std::vector<float> params;
+  std::vector<float> grads;
+  std::vector<float> in;
+  std::vector<float> grad_out;
+  std::vector<float> out;
+  std::vector<float> grad_in;
+
+  template <typename... Args>
+  explicit LayerBench(std::size_t batch_size, Args... args)
+      : layer(args...), batch(batch_size) {
+    sidco::util::Rng rng(23);
+    params.resize(layer.parameter_count());
+    grads.assign(layer.parameter_count(), 0.0F);
+    layer.bind(params, grads);
+    layer.init(rng);
+    in = relu_like(batch * layer.in_features(), rng);
+    grad_out = relu_like(batch * layer.out_features(), rng);
+    out.resize(batch * layer.out_features());
+    grad_in.resize(batch * layer.in_features());
+  }
+};
+
+/// ResNet20's stage-0 convolution: 8 -> 8 channels, 3x3, stride 1, pad 1.
+constexpr sidco::nn::ConvShape kResNetStage0{8, 16, 16};
+
+void BM_ConvLayer(benchmark::State& state) {
+  LayerBench<sidco::nn::Conv2D> b(static_cast<std::size_t>(state.range(0)),
+                                  kResNetStage0, 8, 3, 1, 1);
+  for (auto _ : state) {
+    b.layer.forward(b.in, b.out, b.batch);
+    b.layer.backward(b.in, b.grad_out, b.grad_in, b.batch);
+    benchmark::DoNotOptimize(b.grad_in.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ConvLayer)->Arg(16);
+
+void BM_ConvLayerLegacy(benchmark::State& state) {
+  LayerBench<sidco::nn::Conv2D> b(static_cast<std::size_t>(state.range(0)),
+                                  kResNetStage0, 8, 3, 1, 1);
+  const std::size_t w = b.params.size() - 8;  // biases follow the weights
+  const sidco::nn::legacy::ConvParams p{
+      .in = kResNetStage0,
+      .out = b.layer.out_shape(),
+      .kernel = 3,
+      .stride = 1,
+      .pad = 1,
+      .weight = std::span<const float>(b.params).subspan(0, w),
+      .bias = std::span<const float>(b.params).subspan(w),
+      .grad_weight = std::span<float>(b.grads).subspan(0, w),
+      .grad_bias = std::span<float>(b.grads).subspan(w)};
+  for (auto _ : state) {
+    sidco::nn::legacy::conv2d_forward(p, b.in, b.out, b.batch);
+    sidco::nn::legacy::conv2d_backward(p, b.in, b.grad_out, b.grad_in,
+                                       b.batch);
+    benchmark::DoNotOptimize(b.grad_in.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ConvLayerLegacy)->Arg(16);
+
+/// VGG19's second fully connected layer: 1024 -> 1024.
+constexpr std::size_t kVggFc = 1024;
+
+void BM_DenseLayer(benchmark::State& state) {
+  LayerBench<sidco::nn::Dense> b(static_cast<std::size_t>(state.range(0)),
+                                 kVggFc, kVggFc);
+  for (auto _ : state) {
+    b.layer.forward(b.in, b.out, b.batch);
+    b.layer.backward(b.in, b.grad_out, b.grad_in, b.batch);
+    benchmark::DoNotOptimize(b.grad_in.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_DenseLayer)->Arg(8);
+
+void BM_DenseLayerLegacy(benchmark::State& state) {
+  LayerBench<sidco::nn::Dense> b(static_cast<std::size_t>(state.range(0)),
+                                 kVggFc, kVggFc);
+  const std::size_t w = kVggFc * kVggFc;
+  const sidco::nn::legacy::DenseParams p{
+      .in_features = kVggFc,
+      .out_features = kVggFc,
+      .weight = std::span<const float>(b.params).subspan(0, w),
+      .bias = std::span<const float>(b.params).subspan(w),
+      .grad_weight = std::span<float>(b.grads).subspan(0, w),
+      .grad_bias = std::span<float>(b.grads).subspan(w)};
+  for (auto _ : state) {
+    sidco::nn::legacy::dense_forward(p, b.in, b.out, b.batch);
+    sidco::nn::legacy::dense_backward(p, b.in, b.grad_out, b.grad_in, b.batch);
+    benchmark::DoNotOptimize(b.grad_in.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_DenseLayerLegacy)->Arg(8);
 
 // ------------------------------------------------------------ thread scaling
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
 #include <memory>
 #include <utility>
 
@@ -435,21 +434,8 @@ void run_worker_steps(const SessionConfig& config,
                       std::vector<std::unique_ptr<Worker>>& workers,
                       std::size_t batch_size,
                       std::vector<WorkerStepResult>& steps) {
-  if (config.parallel_workers && config.workers > 1) {
-    std::vector<std::future<WorkerStepResult>> futures;
-    futures.reserve(config.workers);
-    for (auto& worker : workers) {
-      futures.push_back(std::async(std::launch::async, [&worker, batch_size] {
-        return worker->step(batch_size);
-      }));
-    }
-    for (std::size_t w = 0; w < config.workers; ++w) {
-      steps[w] = futures[w].get();
-    }
-  } else {
-    for (std::size_t w = 0; w < config.workers; ++w) {
-      steps[w] = workers[w]->step(batch_size);
-    }
+  for (std::size_t w = 0; w < config.workers; ++w) {
+    steps[w] = workers[w]->step(batch_size);
   }
 }
 

@@ -198,10 +198,6 @@ struct SessionConfig {
   std::size_t eval_batches = 2;
   std::uint64_t seed = 42;
   bool error_feedback = true;
-  /// Run worker steps on a thread per worker; numerically identical to the
-  /// serial path (workers are fully independent between aggregations).
-  /// Allreduce topology only.
-  bool parallel_workers = false;
   /// Evaluate the timing model at Table 1's paper-scale parameter counts
   /// rather than at the proxy model's dimension.
   bool paper_scale_timing = true;
@@ -360,10 +356,10 @@ struct SessionResult {
 
 /// Runs a full training session, dispatching on `config.engine` (simulated
 /// event runtime vs real threads) and `config.topology`.  The simulated
-/// engine is deterministic in `config` (including across parallel_workers
-/// on/off) for everything except the measured-CPU latency fields — and, in
-/// kParameterServer, determinism of the event order itself requires the
-/// analytic device model (Device::kGpuModel).  The threads engine is
+/// engine is deterministic in `config` for everything except the
+/// measured-CPU latency fields — and, in kParameterServer, determinism of
+/// the event order itself requires the analytic device model
+/// (Device::kGpuModel).  The threads engine is
 /// deterministic on numerics/bytes in kAllreduce and in kParameterServer at
 /// staleness 0; at staleness > 0 real scheduling decides which admissible
 /// version a worker computes on (README "Execution engines").

@@ -1,5 +1,6 @@
-// 2D convolution, max pooling, global average pooling, and a pre-activation
-// residual block — the building blocks of the ResNet/VGG proxy models.
+// 2D convolution, max pooling, global average pooling, and a residual block
+// (ReLU after the sum, as in He et al. 2016) — the building blocks of the
+// ResNet/VGG proxy models.
 //
 // Tensors are (batch, C, H, W) row-major flattened into the generic
 // (batch, features) buffers.
@@ -104,12 +105,12 @@ class ResidualBlock final : public Layer {
   std::unique_ptr<Conv2D> conv1_;
   std::unique_ptr<Conv2D> conv2_;
   std::unique_ptr<Conv2D> skip_;  // nullptr for identity skip
-  // Cached activations (sized on demand for the largest batch seen).
+  // Cached activations (sized on demand for the largest batch seen).  The
+  // backward pass's buffers are per-thread scratch (nn/kernel_scratch.h).
   std::vector<float> pre1_;   // conv1 output (pre-relu)
   std::vector<float> act1_;   // relu(conv1)
   std::vector<float> pre2_;   // conv2 output
   std::vector<float> skip_out_;
-  std::vector<float> scratch_;
 };
 
 }  // namespace sidco::nn

@@ -31,9 +31,9 @@ namespace sidco::runtime {
 
 /// Runs `config` with one forked process per worker, the calling process as
 /// coordinator/server.  `config.engine` is not consulted (the dispatch
-/// already happened); parallel_workers and worker_time_scale behave as under
-/// the threads engine (modeled-timing only).  SessionConfig::channel_capacity
-/// bounds the per-peer socket send queues, mirroring channel semantics.
+/// already happened); worker_time_scale behaves as under the threads engine
+/// (modeled-timing only).  SessionConfig::channel_capacity bounds the
+/// per-peer socket send queues, mirroring channel semantics.
 dist::SessionResult run_session_processes(const dist::SessionConfig& config);
 
 }  // namespace sidco::runtime

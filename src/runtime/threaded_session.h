@@ -45,12 +45,11 @@
 
 namespace sidco::runtime {
 
-/// Runs `config` on real threads.  `config.engine` is not consulted (the
-/// dispatch already happened); everything else is honored, except
-/// parallel_workers (meaningless here: every worker already has a thread)
-/// and worker_time_scale (modeled-timing only; real threads run at hardware
-/// speed, so it is reflected in the modeled fields but cannot slow a thread
-/// down).
+/// Runs `config` on real threads, one per worker.  `config.engine` is not
+/// consulted (the dispatch already happened); everything else is honored,
+/// except worker_time_scale (modeled-timing only; real threads run at
+/// hardware speed, so it is reflected in the modeled fields but cannot slow a
+/// thread down).
 dist::SessionResult run_session_threads(const dist::SessionConfig& config);
 
 }  // namespace sidco::runtime

@@ -134,8 +134,6 @@ void validate_tenant(const TenantSpec& tenant) {
               "fleet tenants require homogeneous workers");
   util::check(!c.fault.any(),
               "fleet tenants cannot inject transport faults");
-  util::check(!c.parallel_workers,
-              "fleet tenants step workers on the scheduler thread");
   util::check(tenant.weight > 0.0, "tenant weight must be positive");
   validate_churn(tenant.churn, c.workers, c.iterations);
 }

@@ -131,6 +131,15 @@ TEST(GradCheck, Conv2DOneByOne) {
   check_layer(layer, 2, 7);
 }
 
+// A zero stride or kernel is a named error, not a division by zero (stride)
+// or a bias-only layer larger than its input (kernel).
+TEST(Conv2DShape, RejectsZeroStrideAndKernel) {
+  const nn::ConvShape in{.channels = 2, .height = 6, .width = 6};
+  EXPECT_THROW(nn::Conv2D(in, 3, 3, /*stride=*/0, 1), util::CheckError);
+  EXPECT_THROW(nn::Conv2D(in, 3, /*kernel=*/0, 1, 1), util::CheckError);
+  EXPECT_THROW(nn::ResidualBlock(in, 3, /*stride=*/0), util::CheckError);
+}
+
 TEST(GradCheck, MaxPool) {
   nn::MaxPool2D layer({.channels = 2, .height = 4, .width = 4});
   check_layer(layer, 2, 8);

@@ -1,7 +1,9 @@
 // Steady-state allocation contract: once a compressor's output object and
 // internal scratch (tensor::Workspace, sample/exceedance buffers) have
 // reached their high-water capacity, repeated compress_into() calls must
-// perform ZERO heap allocations.  Verified two ways:
+// perform ZERO heap allocations.  The same holds for a model's forward +
+// backward once one step has grown its activation buffers and the per-thread
+// kernel scratch.  Verified two ways:
 //   1. a counting global operator new/delete (this TU overrides the global
 //      allocation functions, so every heap allocation in the process is
 //      observed), and
@@ -11,11 +13,14 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "compressors/compressor.h"
 #include "core/factory.h"
 #include "core/sidco_compressor.h"
+#include "nn/model.h"
+#include "nn/zoo.h"
 #include "stats/distributions.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -117,6 +122,37 @@ TEST(SteadyStateAlloc, MultiThreadedKernelsAllocateNothing) {
   util::ThreadPool::instance().set_threads(1);
   EXPECT_EQ(allocs, 0U);
 }
+
+class ZooModelAlloc : public ::testing::TestWithParam<nn::Benchmark> {};
+
+// After one warm-up step, a training step's forward + backward allocates
+// nothing: layers keep their buffers as members and the Conv2D/Dense kernels
+// share one per-thread scratch.
+TEST_P(ZooModelAlloc, WarmForwardBackwardAllocatesNothing) {
+  nn::Model model = nn::make_model(GetParam(), 7);
+  const std::size_t batch = nn::benchmark_spec(GetParam()).batch_size;
+  const std::vector<float> input =
+      laplace_gradient(batch * model.in_features(), 11);
+  const std::vector<float> grad_logits =
+      laplace_gradient(batch * model.out_features(), 12);
+  auto step = [&] {
+    model.zero_gradients();
+    model.forward(input, batch);
+    model.backward(grad_logits);
+  };
+  step();
+  const std::size_t before = g_allocations.load();
+  for (int i = 0; i < 3; ++i) step();
+  EXPECT_EQ(g_allocations.load() - before, 0U)
+      << nn::benchmark_spec(GetParam()).name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ConvModels, ZooModelAlloc,
+    ::testing::Values(nn::Benchmark::kResNet20, nn::Benchmark::kVgg19),
+    [](const ::testing::TestParamInfo<nn::Benchmark>& info) {
+      return std::string(nn::benchmark_spec(info.param).name);
+    });
 
 TEST(SteadyStateAlloc, OutputBuffersAreReusedAcrossCalls) {
   auto compressor = core::make_compressor(core::Scheme::kSidcoExponential,

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Bench smoke gate for the SIDCo multi-stage compress and SIMD dispatch paths.
+"""Bench smoke gate for the SIDCo multi-stage compress, SIMD dispatch and nn
+layer kernel paths.
 
 Usage:
     check_bench_regression.py CURRENT.json [CURRENT2.json ...] [BASELINE.json]
@@ -47,7 +48,9 @@ import sys
 # (slow prefix, fast prefix, label): the in-run ratio pairs that gate.  The
 # seed-vs-fused pairs gate the multi-stage algorithm; the scalar-vs-simd
 # pairs gate the dispatched kernel and codec fast paths (bit-identical to
-# scalar by the differential suite, so the ratio is pure speed).
+# scalar by the differential suite, so the ratio is pure speed); the layer
+# pairs gate the vectorized Conv2D/Dense kernels against the frozen scalar
+# loops (bit-identical by test_nn_kernels).
 GATED_PAIRS = [
     ("BM_SidcoMultiStageCompressLegacy/", "BM_SidcoMultiStageCompress/",
      "multi-stage compress (seed vs fused)"),
@@ -67,6 +70,10 @@ GATED_PAIRS = [
      "codec pack (scalar vs simd)"),
     ("BM_CodecDecodeQuantizedScalar", "BM_CodecDecodeQuantized",
      "codec unpack (scalar vs simd)"),
+    ("BM_ConvLayerLegacy/", "BM_ConvLayer/",
+     "conv layer fwd+bwd (scalar loop vs vectorized)"),
+    ("BM_DenseLayerLegacy/", "BM_DenseLayer/",
+     "dense layer fwd+bwd (scalar loop vs vectorized)"),
 ]
 REGRESSION_TOLERANCE = 0.20  # fail if the speedup ratio drops >20%
 

@@ -52,6 +52,16 @@ def simd_run(scalar_time, simd_time):
     ])
 
 
+def layer_run(legacy_time, vectorized_time):
+    """A kernel dump with the conv and dense layer pairs."""
+    return bench_json([
+        ("BM_ConvLayerLegacy/16", legacy_time),
+        ("BM_ConvLayer/16", vectorized_time),
+        ("BM_DenseLayerLegacy/8", legacy_time),
+        ("BM_DenseLayer/8", vectorized_time),
+    ])
+
+
 class CheckBenchRegressionTest(unittest.TestCase):
     def setUp(self):
         self._dir = tempfile.TemporaryDirectory()
@@ -223,6 +233,14 @@ class CheckBenchRegressionTest(unittest.TestCase):
         baseline = self.write("baseline.json", simd_run(400.0, 100.0))
         self.assertEqual(self.run_gate(current, baseline), 1)
         healthy = self.write("healthy.json", simd_run(390.0, 100.0))
+        self.assertEqual(self.run_gate(healthy, baseline), 0)
+
+    def test_layer_pairs_gate(self):
+        # Layer pair regression: baseline 4.0x, current 2.0x.
+        current = self.write("current.json", layer_run(200.0, 100.0))
+        baseline = self.write("baseline.json", layer_run(400.0, 100.0))
+        self.assertEqual(self.run_gate(current, baseline), 1)
+        healthy = self.write("healthy.json", layer_run(380.0, 100.0))
         self.assertEqual(self.run_gate(healthy, baseline), 0)
 
 
