@@ -28,6 +28,14 @@
 // test_nn_kernels checks them against.  Results are bit-identical, so the
 // in-run legacy/vectorized ratio is pure speed and gated like the pairs above.
 //
+// Replica construction pair: BM_MakeWorkers/vgg19 builds a session's 3 VGG19
+// workers the way every engine does (dist::detail::make_workers: worker 0
+// seeded, the others copying its parameters), BM_MakeWorkersSeeded/vgg19
+// seeds every worker on its own (make_worker(config, w) with no initial
+// parameters).  The replicas are byte-identical either way (test_dist), so
+// the in-run seeded/copied ratio is pure speed, and only this gate sees a
+// return to per-replica seeding.
+//
 // The CI bench-smoke job stores this binary's JSON output (merged with
 // bench_codec's) as the committed baseline and
 // tools/check_bench_regression.py gates regressions on the multi-stage and
@@ -37,6 +45,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -44,6 +53,9 @@
 #include "core/factory.h"
 #include "core/sidco_compressor.h"
 #include "core/threshold_estimator.h"
+#include "dist/session.h"
+#include "dist/session_detail.h"
+#include "dist/worker.h"
 #include "legacy_nn_kernels.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
@@ -515,6 +527,40 @@ void BM_DenseLayerLegacy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_DenseLayerLegacy)->Arg(8);
+
+// ------------------------------------------------------- replica construction
+
+/// The worker set of the session benchmark's vgg19-sidco-ps workload.
+sidco::dist::SessionConfig replica_config(sidco::nn::Benchmark benchmark) {
+  sidco::dist::SessionConfig config;
+  config.benchmark = benchmark;
+  config.scheme = sidco::core::Scheme::kSidcoExponential;
+  config.target_ratio = 0.01;
+  config.workers = 3;
+  return config;
+}
+
+void BM_MakeWorkers(benchmark::State& state, sidco::nn::Benchmark model) {
+  const sidco::dist::SessionConfig config = replica_config(model);
+  for (auto _ : state) {
+    auto workers = sidco::dist::detail::make_workers(config);
+    benchmark::DoNotOptimize(workers.data());
+  }
+}
+BENCHMARK_CAPTURE(BM_MakeWorkers, vgg19, sidco::nn::Benchmark::kVgg19);
+
+void BM_MakeWorkersSeeded(benchmark::State& state,
+                          sidco::nn::Benchmark model) {
+  const sidco::dist::SessionConfig config = replica_config(model);
+  for (auto _ : state) {
+    std::vector<std::unique_ptr<sidco::dist::Worker>> workers;
+    for (std::size_t w = 0; w < config.workers; ++w) {
+      workers.push_back(sidco::dist::detail::make_worker(config, w));
+    }
+    benchmark::DoNotOptimize(workers.data());
+  }
+}
+BENCHMARK_CAPTURE(BM_MakeWorkersSeeded, vgg19, sidco::nn::Benchmark::kVgg19);
 
 // ------------------------------------------------------------ thread scaling
 

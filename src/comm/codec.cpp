@@ -86,7 +86,10 @@ void write_values(util::simd::Level level, std::vector<std::uint8_t>& out,
       const std::size_t at = out.size();
       if (mode == ValueMode::kFp32) {
         out.resize(at + values.size() * 4);
-        std::memcpy(out.data() + at, values.data(), values.size() * 4);
+        // An empty span may hold a null pointer, which memcpy must not get.
+        if (!values.empty()) {
+          std::memcpy(out.data() + at, values.data(), values.size() * 4);
+        }
       } else {
         out.resize(at + values.size() * 2);
         detail::float_to_half_bytes(level, values.data(), values.size(),
@@ -116,7 +119,7 @@ void read_values(util::simd::Level level, std::span<const std::uint8_t> buf,
     if (level != util::simd::Level::kScalar) {
       out.resize(count);
       if (mode == ValueMode::kFp32) {
-        std::memcpy(out.data(), buf.data() + at, count * 4);
+        if (count != 0) std::memcpy(out.data(), buf.data() + at, count * 4);
       } else {
         detail::half_to_float_bytes(level, buf.data() + at, count,
                                     out.data());

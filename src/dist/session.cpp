@@ -180,10 +180,11 @@ void validate_config(const SessionConfig& config) {
 // Identical replicas with private streams; the seed derivation is shared by
 // every driver (and frozen: run_session_reference depends on it).
 std::unique_ptr<Worker> make_worker(const SessionConfig& config,
-                                    std::size_t w) {
+                                    std::size_t w,
+                                    std::span<const float> initial) {
   auto worker = std::make_unique<Worker>(
       config.benchmark, config.seed, config.seed * 0x10001ULL + 7919 * w + 1,
-      config.scheme, config.target_ratio, config.error_feedback);
+      config.scheme, config.target_ratio, config.error_feedback, initial);
   if (config.autotune.enabled() && config.scheme != core::Scheme::kNone) {
     // Every engine builds its workers through here, so arming the controller
     // at construction — with the same deterministic pricing models the
@@ -209,7 +210,10 @@ std::vector<std::unique_ptr<Worker>> make_workers(
   std::vector<std::unique_ptr<Worker>> workers;
   workers.reserve(config.workers);
   for (std::size_t w = 0; w < config.workers; ++w) {
-    workers.push_back(make_worker(config, w));
+    // Worker 0 draws the session's model; the rest copy its parameters.
+    workers.push_back(make_worker(
+        config, w,
+        w == 0 ? std::span<const float>() : workers.front()->parameters()));
   }
   return workers;
 }
@@ -564,12 +568,12 @@ SessionResult run_parameter_server(const SessionConfig& config) {
   std::vector<float> server_params(init.begin(), init.end());
   nn::SgdOptimizer server_optimizer(spec.optimizer);
 
-  // A dedicated evaluation head: same model seed (identical architecture +
-  // init) and same dataset stream as every worker's held-out batches; its
-  // parameters are overwritten with the server copy before each eval.
+  // A dedicated evaluation head: same architecture and same dataset stream
+  // as every worker's held-out batches.  It is built from the server copy
+  // and overwritten with the server copy before each eval.
   Worker eval_head(config.benchmark, config.seed,
                    eval_head_stream_seed(config), core::Scheme::kNone, 1.0,
-                   false);
+                   false, server_params);
 
   EventQueue queue;
   // The server NIC: pushes and pulls serialize in event order.  A single

@@ -32,13 +32,18 @@ namespace sidco::dist::detail {
 void validate_config(const SessionConfig& config);
 
 /// Identical replicas with private streams; the seed derivation is shared by
-/// every driver (and frozen: run_session_reference depends on it).
+/// every driver (and frozen: run_session_reference depends on it).  Worker 0
+/// is the session's one seeded model; workers 1..N-1 copy its parameters,
+/// byte-identical to seeding each of them.
 std::vector<std::unique_ptr<Worker>> make_workers(const SessionConfig& config);
 
-/// One replica of the frozen derivation above — what a forked participant of
+/// Replica `w` of the frozen derivation above — what a forked participant of
 /// the sockets engine builds for its own rank without instantiating the rest.
+/// A non-empty `initial` (the session's seeded parameters) is copied in
+/// instead of drawing the model from config.seed.
 std::unique_ptr<Worker> make_worker(const SessionConfig& config,
-                                    std::size_t w);
+                                    std::size_t w,
+                                    std::span<const float> initial = {});
 
 /// Stream seed of the dedicated parameter-server evaluation head (same model
 /// seed as the workers, disjoint stream).

@@ -13,9 +13,10 @@ namespace sidco::dist {
 
 Worker::Worker(nn::Benchmark benchmark, std::uint64_t model_seed,
                std::uint64_t stream_seed, core::Scheme scheme,
-               double target_ratio, bool error_feedback)
+               double target_ratio, bool error_feedback,
+               std::span<const float> initial)
     : benchmark_(benchmark),
-      model_(nn::make_model(benchmark, model_seed)),
+      model_(nn::make_model(benchmark, model_seed, initial)),
       // All workers see the same data distribution; only the sampling
       // stream below differs per worker.
       dataset_(data::make_dataset(benchmark, model_seed ^ 0xd474ULL)),

@@ -71,11 +71,14 @@ struct WorkerAutotuneModel {
 class Worker {
  public:
   /// `model_seed` fixes the replica initialization (identical across workers
-  /// of one session); `stream_seed` fixes this worker's private batch stream
-  /// and compressor randomness.
+  /// of one session) and the dataset; `stream_seed` fixes this worker's
+  /// private batch stream and compressor randomness.  A non-empty `initial`
+  /// is copied in as the replica's parameters instead of drawing them from
+  /// `model_seed` (nn::make_model), which is how a session builds every
+  /// replica after its first.
   Worker(nn::Benchmark benchmark, std::uint64_t model_seed,
          std::uint64_t stream_seed, core::Scheme scheme, double target_ratio,
-         bool error_feedback);
+         bool error_feedback, std::span<const float> initial = {});
 
   /// Arms the per-worker autotune controller: each step() observes its own
   /// modeled comm/compute split (and, in the gof modes, the compressor's

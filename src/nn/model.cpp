@@ -8,7 +8,7 @@ namespace sidco::nn {
 
 Model& Model::add(std::unique_ptr<Layer> layer) {
   util::check(layer != nullptr, "cannot add a null layer");
-  util::check(!built(), "cannot add layers after build()");
+  util::check(!built(), "cannot add layers after bind()");
   layers_.push_back(std::move(layer));
   return *this;
 }
@@ -29,9 +29,9 @@ std::size_t Model::out_features() const {
   return layers_.back()->out_features();
 }
 
-void Model::build(std::uint64_t seed) {
+void Model::bind() {
   util::check(!layers_.empty(), "model has no layers");
-  util::check(!built(), "build() called twice");
+  util::check(!built(), "bind() called twice");
   for (std::size_t i = 1; i < layers_.size(); ++i) {
     if (layers_[i]->in_features() != layers_[i - 1]->out_features()) {
       util::check_fail("layer dimension mismatch between layers " +
@@ -41,24 +41,28 @@ void Model::build(std::uint64_t seed) {
   const std::size_t total = parameter_count();
   params_.assign(total, 0.0F);
   grads_.assign(total, 0.0F);
-  util::Rng rng(seed);
   std::size_t offset = 0;
   for (auto& layer : layers_) {
     const std::size_t n = layer->parameter_count();
     layer->bind(std::span<float>(params_).subspan(offset, n),
                 std::span<float>(grads_).subspan(offset, n));
-    layer->init(rng);
     offset += n;
   }
   acts_.resize(layers_.size() + 1);
   grad_bufs_.resize(2);
 }
 
+void Model::init(std::uint64_t seed) {
+  util::check(built(), "init() before bind()");
+  util::Rng rng(seed);
+  for (auto& layer : layers_) layer->init(rng);
+}
+
 void Model::zero_gradients() { std::fill(grads_.begin(), grads_.end(), 0.0F); }
 
 std::span<const float> Model::forward(std::span<const float> input,
                                       std::size_t batch) {
-  util::check(built(), "forward() before build()");
+  util::check(built(), "forward() before bind()");
   util::check(input.size() == batch * in_features(),
               "forward input size mismatch");
   last_batch_ = batch;

@@ -17,11 +17,17 @@ class Model {
  public:
   Model() = default;
 
-  /// Appends a layer; dimensions must chain (checked in build()).
+  /// Appends a layer; dimensions must chain (checked in bind()).
   Model& add(std::unique_ptr<Layer> layer);
 
-  /// Allocates arenas, binds layers and initializes parameters.
-  void build(std::uint64_t seed);
+  /// Allocates the arenas and binds every layer to its slices.  Parameters
+  /// are zero until init() draws them or the caller copies them in.
+  void bind();
+
+  /// Initializes every bound layer from one stream seeded with `seed`, in
+  /// layer order.  Binding all layers first does not change the draws: no
+  /// layer's init touches anything but its own parameters.
+  void init(std::uint64_t seed);
 
   [[nodiscard]] bool built() const { return !params_.empty(); }
   [[nodiscard]] std::size_t parameter_count() const;

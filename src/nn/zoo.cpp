@@ -1,5 +1,6 @@
 #include "nn/zoo.h"
 
+#include <algorithm>
 #include <memory>
 
 #include "nn/activations.h"
@@ -30,7 +31,7 @@ OptimizerConfig nesterov(double lr, double clip = 0.0) {
 }
 
 Model make_resnet_proxy(std::size_t stages, std::size_t base_width,
-                        std::size_t classes, std::uint64_t seed) {
+                        std::size_t classes) {
   Model model;
   ConvShape shape{.channels = 3, .height = 16, .width = 16};
   auto stem = std::make_unique<Conv2D>(shape, base_width, 3, 1, 1);
@@ -52,12 +53,10 @@ Model make_resnet_proxy(std::size_t stages, std::size_t base_width,
   }
   model.add(std::make_unique<GlobalAvgPool>(shape));
   model.add(std::make_unique<Dense>(width, classes));
-  model.build(seed);
   return model;
 }
 
-Model make_vgg_proxy(bool deep, std::size_t fc_width, std::size_t classes,
-                     std::uint64_t seed) {
+Model make_vgg_proxy(bool deep, std::size_t fc_width, std::size_t classes) {
   Model model;
   ConvShape shape{.channels = 3, .height = 16, .width = 16};
   auto add_conv = [&](std::size_t out_channels) {
@@ -85,26 +84,23 @@ Model make_vgg_proxy(bool deep, std::size_t fc_width, std::size_t classes,
   model.add(std::make_unique<Dense>(fc_width, fc_width));
   model.add(std::make_unique<Activation>(ActivationKind::kRelu, fc_width));
   model.add(std::make_unique<Dense>(fc_width, classes));
-  model.build(seed);
   return model;
 }
 
 Model make_lstm_lm_proxy(std::size_t time, std::size_t vocab,
-                         std::size_t embed, std::size_t hidden,
-                         std::uint64_t seed) {
+                         std::size_t embed, std::size_t hidden) {
   Model model;
   model.add(std::make_unique<Embedding>(time, vocab, embed));
   model.add(std::make_unique<Lstm>(time, embed, hidden));
   model.add(std::make_unique<Lstm>(time, hidden, hidden));
   model.add(std::make_unique<TimeDistributed>(
       std::make_unique<Dense>(hidden, vocab), time));
-  model.build(seed);
   return model;
 }
 
 Model make_lstm_speech_proxy(std::size_t time, std::size_t features,
                              std::size_t frontend, std::size_t hidden,
-                             std::size_t classes, std::uint64_t seed) {
+                             std::size_t classes) {
   Model model;
   model.add(std::make_unique<TimeDistributed>(
       std::make_unique<Dense>(features, frontend), time));
@@ -114,8 +110,31 @@ Model make_lstm_speech_proxy(std::size_t time, std::size_t features,
   model.add(std::make_unique<Lstm>(time, hidden, hidden));
   model.add(std::make_unique<TimeDistributed>(
       std::make_unique<Dense>(hidden, classes), time));
-  model.build(seed);
   return model;
+}
+
+/// The unbound layer stack of `benchmark`'s proxy.
+Model proxy_layers(Benchmark benchmark) {
+  const BenchmarkSpec& spec = benchmark_spec(benchmark);
+  switch (benchmark) {
+    case Benchmark::kResNet20:
+      return make_resnet_proxy(/*stages=*/3, /*base_width=*/8, spec.classes);
+    case Benchmark::kVgg16:
+      return make_vgg_proxy(/*deep=*/false, /*fc_width=*/512, spec.classes);
+    case Benchmark::kResNet50:
+      return make_resnet_proxy(/*stages=*/4, /*base_width=*/8, spec.classes);
+    case Benchmark::kVgg19:
+      return make_vgg_proxy(/*deep=*/true, /*fc_width=*/1024, spec.classes);
+    case Benchmark::kLstmPtb:
+      return make_lstm_lm_proxy(spec.time_steps, spec.classes, /*embed=*/64,
+                                /*hidden=*/96);
+    case Benchmark::kLstmAn4:
+      return make_lstm_speech_proxy(spec.time_steps, /*features=*/24,
+                                    /*frontend=*/48, /*hidden=*/64,
+                                    spec.classes);
+  }
+  util::check(false, "unknown benchmark");
+  return Model();
 }
 
 }  // namespace
@@ -205,31 +224,19 @@ const BenchmarkSpec& benchmark_spec(Benchmark benchmark) {
   return kResNet20;
 }
 
-Model make_model(Benchmark benchmark, std::uint64_t seed) {
-  const BenchmarkSpec& spec = benchmark_spec(benchmark);
-  switch (benchmark) {
-    case Benchmark::kResNet20:
-      return make_resnet_proxy(/*stages=*/3, /*base_width=*/8, spec.classes,
-                               seed);
-    case Benchmark::kVgg16:
-      return make_vgg_proxy(/*deep=*/false, /*fc_width=*/512, spec.classes,
-                            seed);
-    case Benchmark::kResNet50:
-      return make_resnet_proxy(/*stages=*/4, /*base_width=*/8, spec.classes,
-                               seed);
-    case Benchmark::kVgg19:
-      return make_vgg_proxy(/*deep=*/true, /*fc_width=*/1024, spec.classes,
-                            seed);
-    case Benchmark::kLstmPtb:
-      return make_lstm_lm_proxy(spec.time_steps, spec.classes, /*embed=*/64,
-                                /*hidden=*/96, seed);
-    case Benchmark::kLstmAn4:
-      return make_lstm_speech_proxy(spec.time_steps, /*features=*/24,
-                                    /*frontend=*/48, /*hidden=*/64,
-                                    spec.classes, seed);
+Model make_model(Benchmark benchmark, std::uint64_t seed,
+                 std::span<const float> initial) {
+  Model model = proxy_layers(benchmark);
+  model.bind();
+  if (initial.empty()) {
+    model.init(seed);
+  } else {
+    util::check(initial.size() == model.parameter_count(),
+                "initial parameter vector does not match the model's "
+                "parameter count");
+    std::copy(initial.begin(), initial.end(), model.parameters().begin());
   }
-  util::check(false, "unknown benchmark");
-  return Model();
+  return model;
 }
 
 }  // namespace sidco::nn

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string_view>
 
 #include "nn/model.h"
@@ -48,7 +49,11 @@ struct BenchmarkSpec {
 
 [[nodiscard]] const BenchmarkSpec& benchmark_spec(Benchmark benchmark);
 
-/// Builds (and build()s) the proxy model for `benchmark`.
-[[nodiscard]] Model make_model(Benchmark benchmark, std::uint64_t seed);
+/// Builds the proxy model for `benchmark`.  With `initial` empty its
+/// parameters are drawn from `seed`; otherwise they are a copy of `initial`,
+/// which must hold exactly parameter_count() values.  Copying a seeded
+/// model's parameters gives a byte-identical model without redrawing them.
+[[nodiscard]] Model make_model(Benchmark benchmark, std::uint64_t seed,
+                               std::span<const float> initial = {});
 
 }  // namespace sidco::nn

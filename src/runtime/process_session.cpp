@@ -4,7 +4,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
@@ -20,6 +19,7 @@
 
 #include "dist/session_detail.h"
 #include "dist/worker.h"
+#include "nn/zoo.h"
 #include "runtime/fault.h"
 #include "runtime/reliable.h"
 #include "runtime/socket_transport.h"
@@ -108,7 +108,7 @@ class SingleThreadScope {
 /// tests), so every path ends in _exit().
 [[noreturn]] void run_child(const SessionConfig& config,
                             SocketTransport& transport, std::size_t w,
-                            bool ps) {
+                            bool ps, std::span<const float> initial) {
   Endpoint* endpoint = nullptr;
   DecoratedEndpoint chaos;  // outlives the catch block's kError path
   try {
@@ -119,7 +119,7 @@ class SingleThreadScope {
                /*deliver_peer_death=*/false);
     endpoint = &chaos.get();
     const std::unique_ptr<Worker> worker =
-        dist::detail::make_worker(config, w);
+        dist::detail::make_worker(config, w, initial);
     if (ps) {
       topo::run_ps_worker(config, w, *worker, *endpoint);
     } else {
@@ -164,17 +164,6 @@ class SingleThreadScope {
   }
 }
 
-void fill_measured(SessionResult& result, util::Timer& wall,
-                   std::span<const topo::MeasuredSeconds> measured) {
-  result.measured_wall_seconds = wall.seconds();
-  for (const topo::MeasuredSeconds& m : measured) {
-    result.measured_compute_seconds =
-        std::max(result.measured_compute_seconds, m.compute);
-    result.measured_comm_seconds =
-        std::max(result.measured_comm_seconds, m.comm);
-  }
-}
-
 }  // namespace
 
 SessionResult run_session_processes(const SessionConfig& config) {
@@ -185,19 +174,16 @@ SessionResult run_session_processes(const SessionConfig& config) {
   SessionResult result;
   result.config = config;
 
-  // A parent-side replica of worker 0 pins the gradient dimension and (PS)
-  // the initial parameters without waiting on a child; the frozen seed
-  // derivation makes it identical to the child's own rank-0 replica.
+  // The session's one seeded model, built in the parent: its parameters pin
+  // the gradient dimension, seed the PS server, and every forked child
+  // builds its replica from them instead of drawing the model again.
   std::vector<float> init_params;
-  std::size_t dim = 0;
   {
-    const std::unique_ptr<Worker> probe = dist::detail::make_worker(config, 0);
-    dim = probe->gradient_dimension();
-    if (ps) {
-      const std::span<const float> init = probe->parameters();
-      init_params.assign(init.begin(), init.end());
-    }
+    const nn::Model seeded = nn::make_model(config.benchmark, config.seed);
+    const std::span<const float> init = seeded.parameters();
+    init_params.assign(init.begin(), init.end());
   }
+  const std::size_t dim = init_params.size();
   result.gradient_dimension = dim;
 
   SocketTransport transport(n + 1, config.channel_capacity,
@@ -232,7 +218,9 @@ SessionResult run_session_processes(const SessionConfig& config) {
       util::check_fail(std::string("sockets engine: fork failed: ") +
                        std::strerror(errno));
     }
-    if (pid == 0) run_child(config, transport, w, ps);  // never returns
+    if (pid == 0) {
+      run_child(config, transport, w, ps, init_params);  // never returns
+    }
     children[w] = pid;
   }
   // Each child keeps only its own listener; with the parent dropping the
@@ -320,7 +308,7 @@ SessionResult run_session_processes(const SessionConfig& config) {
   }
 
   dist::detail::finalize_result(result);
-  fill_measured(result, wall, measured);
+  topo::fill_measured(result, wall, measured);
   return result;
 }
 

@@ -1,6 +1,5 @@
 #include "runtime/threaded_session.h"
 
-#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <memory>
@@ -66,17 +65,6 @@ class ErrorSink {
   std::vector<std::exception_ptr> errors_;
   std::atomic<bool> failed_{false};
 };
-
-void fill_measured(SessionResult& result, util::Timer& wall,
-                   std::span<const topo::MeasuredSeconds> measured) {
-  result.measured_wall_seconds = wall.seconds();
-  for (const topo::MeasuredSeconds& m : measured) {
-    result.measured_compute_seconds =
-        std::max(result.measured_compute_seconds, m.compute);
-    result.measured_comm_seconds =
-        std::max(result.measured_comm_seconds, m.comm);
-  }
-}
 
 /// Runs the topology bodies (runtime/topology.h) with every worker on a real
 /// std::thread and the coordinator/server body on the calling thread, all
@@ -187,7 +175,7 @@ SessionResult run_topology_threads(const SessionConfig& config) {
 
   add_transport_counters(result.fault_counters, eps[n]->counters());
   dist::detail::finalize_result(result);
-  fill_measured(result, wall, measured);
+  topo::fill_measured(result, wall, measured);
   return result;
 }
 

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "comm/aggregate.h"
+#include "comm/codec.h"
 #include "comm/frame.h"
 #include "dist/session_detail.h"
 #include "nn/optimizer.h"
@@ -54,22 +55,35 @@ void send_or_abort(Endpoint& endpoint, std::size_t to,
   if (!endpoint.send(to, std::move(message))) throw AbortedError{};
 }
 
-/// Raw little-endian fp32 image of a parameter vector (kParams bodies and
-/// kGrant snapshots).  Bit-exact in both directions.
-std::vector<std::uint8_t> encode_params(std::span<const float> params) {
+/// A whole parameter vector as it travels (kParams bodies and kGrant
+/// snapshots): a codec dense fp32 message, bit-exact in both directions.
+std::shared_ptr<const std::vector<std::uint8_t>> encode_snapshot(
+    std::span<const float> params) {
   std::vector<std::uint8_t> bytes;
-  bytes.reserve(params.size() * 4);
-  for (float v : params) comm::put_f32_le(bytes, v);
-  return bytes;
+  comm::encode_dense(params, comm::ValueMode::kFp32, bytes);
+  return freeze(std::move(bytes));
 }
 
-void decode_params(std::span<const std::uint8_t> bytes,
-                   std::vector<float>& out) {
-  util::check(bytes.size() % 4 == 0,
-              "transport: parameter body is not a whole number of floats");
-  out.resize(bytes.size() / 4);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = comm::get_f32_le(bytes, i * 4);
+/// Decodes a parameter vector into `out`.  Anything but a dense fp32 message
+/// of exactly `dim` values fails with one named error, the codec's reason
+/// appended.
+void decode_snapshot(const TransportMessage& m, std::size_t dim,
+                     std::vector<float>& out) {
+  const auto fail = [dim](const std::string& reason) {
+    util::check_fail(
+        "transport: parameter snapshot is not a dense fp32 message of " +
+        std::to_string(dim) + " values" + reason);
+  };
+  std::span<const std::uint8_t> body;
+  if (m.payload) body = *m.payload;
+  comm::MessageInfo info;
+  try {
+    info = comm::decode_dense(body, out);
+  } catch (const util::CheckError& e) {
+    fail(std::string(" (") + e.what() + ")");
+  }
+  if (info.value_mode != comm::ValueMode::kFp32 || info.dense_dim != dim) {
+    fail("");
   }
 }
 
@@ -161,6 +175,17 @@ StepReport decode_report(std::span<const std::uint8_t> body) {
 }
 
 }  // namespace
+
+void fill_measured(SessionResult& result, const util::Timer& wall,
+                   std::span<const MeasuredSeconds> measured) {
+  result.measured_wall_seconds = wall.seconds();
+  for (const MeasuredSeconds& m : measured) {
+    result.measured_compute_seconds =
+        std::max(result.measured_compute_seconds, m.compute);
+    result.measured_comm_seconds =
+        std::max(result.measured_comm_seconds, m.comm);
+  }
+}
 
 void run_collective_worker(const SessionConfig& config, std::size_t w,
                            dist::Worker& worker, Endpoint& endpoint) {
@@ -265,7 +290,7 @@ void run_collective_worker(const SessionConfig& config, std::size_t w,
                   {.kind = kParamsKind,
                    .from = w,
                    .seq = iters,
-                   .payload = freeze(encode_params(worker.parameters()))});
+                   .payload = encode_snapshot(worker.parameters())});
   }
   send_or_abort(endpoint, coordinator,
                 {.kind = kDoneKind,
@@ -310,7 +335,7 @@ void run_collective_coordinator(const SessionConfig& config, std::size_t dim,
       case kParamsKind:
         util::check(m.from == 0 && !params_seen,
                     "coordinator received unexpected final parameters");
-        decode_params(*m.payload, result.final_parameters);
+        decode_snapshot(m, dim, result.final_parameters);
         params_seen = true;
         break;
       default:
@@ -435,6 +460,7 @@ void run_ps_worker(const SessionConfig& config, std::size_t w,
   const std::size_t rounds = config.iterations;
   const std::size_t server = config.workers;
 
+  const std::size_t dim = worker.gradient_dimension();
   std::size_t worker_version = 0;  // applied rounds at the last pull
   std::vector<float> snapshot_scratch;
   MeasuredSeconds measured;
@@ -453,7 +479,7 @@ void run_ps_worker(const SessionConfig& config, std::size_t w,
       // A non-empty grant body carries a fresh parameter snapshot; the
       // server moved on since this worker's last pull.
       if (grant->body_size() > 0) {
-        decode_params(*grant->payload, snapshot_scratch);
+        decode_snapshot(*grant, dim, snapshot_scratch);
         worker.overwrite_parameters(snapshot_scratch);
         worker_version = grant->seq;
       }
@@ -506,7 +532,7 @@ void run_ps_server(const SessionConfig& config,
   nn::SgdOptimizer server_optimizer(spec.optimizer);
   dist::Worker eval_head(config.benchmark, config.seed,
                          dist::detail::eval_head_stream_seed(config),
-                         core::Scheme::kNone, 1.0, false);
+                         core::Scheme::kNone, 1.0, false, server_params);
 
   measured.assign(n, {});
   std::vector<bool> done_seen(n, false);
@@ -709,7 +735,7 @@ void run_ps_server(const SessionConfig& config,
           // The serialized snapshot is shared between simultaneous grants
           // of the same version — a pointer copy per grant, not a copy of
           // the parameters.
-          snapshot = freeze(encode_params(server_params));
+          snapshot = encode_snapshot(server_params);
           snapshot_version = version;
         }
         grant.payload = snapshot;

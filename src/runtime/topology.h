@@ -13,7 +13,8 @@
 // Endpoint ids: workers are 0..n-1, the coordinator (allgather) or server
 // (parameter server) is endpoint n.  Message kinds and body layouts are
 // defined below; every multi-byte scalar crosses as the little-endian
-// primitives of comm/frame.h (doubles as IEEE 754 bit patterns — bit-exact).
+// primitives of comm/frame.h (doubles as IEEE 754 bit patterns — bit-exact),
+// and a whole parameter vector as a comm dense fp32 message (comm/codec.h).
 //
 // Abort semantics: a body throws AbortedError when the transport shuts down
 // under it (a peer failed).  The threads engine treats that as cooperative
@@ -26,11 +27,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dist/session.h"
 #include "dist/worker.h"
 #include "runtime/transport.h"
+#include "util/timer.h"
 
 namespace sidco::runtime::topo {
 
@@ -45,7 +48,7 @@ inline constexpr std::uint8_t kPayloadKind = 1;  ///< encoded gradient bytes
 inline constexpr std::uint8_t kReportKind = 2;   ///< allgather step scalars
 inline constexpr std::uint8_t kPushKind = 3;     ///< PS scalars + gradient
 inline constexpr std::uint8_t kGrantKind = 4;    ///< SSP admission (+params)
-inline constexpr std::uint8_t kParamsKind = 5;   ///< final parameter bytes
+inline constexpr std::uint8_t kParamsKind = 5;   ///< final parameters
 inline constexpr std::uint8_t kDoneKind = 6;     ///< measured seconds
 inline constexpr std::uint8_t kErrorKind = 7;    ///< remote failure text
 
@@ -55,6 +58,11 @@ struct MeasuredSeconds {
   double compute = 0.0;
   double comm = 0.0;
 };
+
+/// Fills result.measured_*: the wall-clock read from `wall`, and compute and
+/// comm as the maximum over the participants' kDone reports.
+void fill_measured(dist::SessionResult& result, const util::Timer& wall,
+                   std::span<const MeasuredSeconds> measured);
 
 /// Allgather worker `w`: lock-step broadcast of the encoded payload to every
 /// peer, collect all N payloads, reduce in worker order 0..N-1 (the exact
@@ -68,7 +76,8 @@ void run_collective_worker(const dist::SessionConfig& config, std::size_t w,
 /// Allgather coordinator (endpoint n): assembles per-iteration records from
 /// the step reports through dist::detail::collective_iteration_record,
 /// then collects every worker's kDone (into `measured`, size n) and worker
-/// 0's kParams into result.final_parameters.  Fills iterations / evals /
+/// 0's kParams (a comm dense fp32 message of `dim` values) into
+/// result.final_parameters.  Fills iterations / evals /
 /// byte totals / staleness histogram of `result`; the engine finishes with
 /// finalize_result and its own wall-clock.
 void run_collective_coordinator(const dist::SessionConfig& config,
@@ -78,7 +87,9 @@ void run_collective_coordinator(const dist::SessionConfig& config,
 
 /// Parameter-server worker `w`: push encoded gradients (kPush), block on
 /// SSP admission grants (kGrant; a non-empty body carries a fresh parameter
-/// snapshot as raw fp32 bytes), kDone at the end.
+/// snapshot as a comm dense fp32 message, like kParams), kDone at the end.
+/// A snapshot that is not a dense fp32 message of the model's dimension is
+/// a util::CheckError.
 void run_ps_worker(const dist::SessionConfig& config, std::size_t w,
                    dist::Worker& worker, Endpoint& endpoint);
 

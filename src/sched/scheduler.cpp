@@ -164,14 +164,16 @@ void apply_churn(TenantState& t) {
       continue;
     }
     // kJoin / kRejoin: the joiner adopts the current replica state from the
-    // lowest-index active worker (any would do — replicas are identical).
+    // lowest-index active worker (any would do — replicas are identical).  A
+    // fresh joiner is built from that replica's parameters, not re-seeded.
     const std::vector<std::size_t> ids = active_ids(t);
     util::check(!ids.empty(), "join into an empty tenant");
     const std::size_t source = ids.front();
     std::size_t id = 0;
     if (event.kind == dist::ChurnEvent::Kind::kJoin) {
       id = t.workers.size();
-      t.workers.push_back(ddetail::make_worker(t.spec.session, id));
+      t.workers.push_back(ddetail::make_worker(
+          t.spec.session, id, t.workers[source]->parameters()));
       t.active.push_back(1);
       ++t.result.joins;
     } else {

@@ -4,10 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "dist/device_model.h"
 #include "dist/network_model.h"
 #include "dist/session.h"
+#include "dist/session_detail.h"
 #include "dist/worker.h"
 #include "util/check.h"
 
@@ -119,6 +124,84 @@ TEST(Worker, NoErrorFeedbackKeepsMemoryZero) {
   (void)worker.step(4);
   for (float m : worker.error_memory()) EXPECT_EQ(m, 0.0F);
 }
+
+// One seeded build per session: make_workers draws worker 0's model and
+// builds the other replicas from its parameters.  Each copy must train and
+// evaluate exactly like a replica seeded on its own, and an eval head built
+// from parameters exactly like a seeded one.
+dist::SessionConfig replica_session(nn::Benchmark benchmark) {
+  dist::SessionConfig config;
+  config.benchmark = benchmark;
+  config.scheme = core::Scheme::kSidcoExponential;
+  config.target_ratio = 0.01;
+  config.workers = 3;
+  config.seed = 77;
+  return config;
+}
+
+bool same_bytes(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+class ReplicaCopy : public ::testing::TestWithParam<nn::Benchmark> {};
+
+TEST_P(ReplicaCopy, CopiedReplicasTrainLikeSeededOnes) {
+  const dist::SessionConfig config = replica_session(GetParam());
+  const std::size_t batch = nn::benchmark_spec(config.benchmark).batch_size;
+  const auto copied = dist::detail::make_workers(config);
+  ASSERT_EQ(copied.size(), config.workers);
+  for (std::size_t w = 1; w < config.workers; ++w) {
+    SCOPED_TRACE("worker " + std::to_string(w));
+    dist::Worker& copy = *copied[w];
+    const auto seeded = dist::detail::make_worker(config, w);
+    ASSERT_TRUE(same_bytes(copy.parameters(), seeded->parameters()));
+    for (int step = 0; step < 2; ++step) {
+      const dist::WorkerStepResult a = copy.step(batch);
+      const dist::WorkerStepResult b = seeded->step(batch);
+      EXPECT_EQ(a.train_loss, b.train_loss);
+      EXPECT_EQ(a.encoded, b.encoded);
+      const std::vector<float> update = a.sparse.to_dense();
+      copy.apply_update(update);
+      seeded->apply_update(update);
+      EXPECT_TRUE(same_bytes(copy.parameters(), seeded->parameters()));
+    }
+    const nn::LossResult ea = copy.evaluate(batch, 2);
+    const nn::LossResult eb = seeded->evaluate(batch, 2);
+    EXPECT_EQ(ea.loss, eb.loss);
+    EXPECT_EQ(ea.accuracy, eb.accuracy);
+  }
+}
+
+TEST_P(ReplicaCopy, EvalHeadFromParametersEvaluatesLikeASeededHead) {
+  const dist::SessionConfig config = replica_session(GetParam());
+  const std::size_t batch = nn::benchmark_spec(config.benchmark).batch_size;
+  const auto workers = dist::detail::make_workers(config);
+  dist::Worker& trainer = *workers.front();
+  const std::vector<float> initial(trainer.parameters().begin(),
+                                   trainer.parameters().end());
+  trainer.apply_update(trainer.step(batch).sparse.to_dense());
+
+  // Both heads take the trained parameters, as a PS eval head does before
+  // every eval; one was built from the initial parameters, one seeded.
+  const std::uint64_t stream = dist::detail::eval_head_stream_seed(config);
+  dist::Worker seeded(config.benchmark, config.seed, stream,
+                      core::Scheme::kNone, 1.0, false);
+  dist::Worker copied(config.benchmark, config.seed, stream,
+                      core::Scheme::kNone, 1.0, false, initial);
+  ASSERT_TRUE(same_bytes(copied.parameters(), seeded.parameters()));
+  seeded.overwrite_parameters(trainer.parameters());
+  copied.overwrite_parameters(trainer.parameters());
+  const nn::LossResult es = seeded.evaluate(batch, 2);
+  const nn::LossResult ec = copied.evaluate(batch, 2);
+  EXPECT_EQ(ec.loss, es.loss);
+  EXPECT_EQ(ec.accuracy, es.accuracy);
+}
+
+INSTANTIATE_TEST_SUITE_P(Models, ReplicaCopy,
+                         ::testing::Values(nn::Benchmark::kResNet20,
+                                           nn::Benchmark::kVgg19,
+                                           nn::Benchmark::kLstmPtb));
 
 dist::SessionConfig small_session(core::Scheme scheme, double ratio) {
   dist::SessionConfig config;

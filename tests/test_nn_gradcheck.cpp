@@ -5,9 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <memory>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "comm/frame.h"
 #include "nn/activations.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
@@ -183,7 +189,8 @@ TEST(GradCheck, FullModelThroughCrossEntropy) {
       nn::ConvShape{.channels = 1, .height = 4, .width = 4}, 2, 3, 1, 1));
   model.add(std::make_unique<nn::Activation>(nn::ActivationKind::kRelu, 32));
   model.add(std::make_unique<nn::Dense>(32, 3));
-  model.build(77);
+  model.bind();
+  model.init(77);
 
   util::Rng rng(21);
   const std::size_t batch = 2;
@@ -260,7 +267,66 @@ TEST(Model, RejectsDimensionMismatch) {
   nn::Model model;
   model.add(std::make_unique<nn::Dense>(4, 5));
   model.add(std::make_unique<nn::Dense>(6, 2));  // 5 != 6
-  EXPECT_THROW(model.build(1), util::CheckError);
+  EXPECT_THROW(model.bind(), util::CheckError);
+}
+
+// One seeded build per session: every other replica copies the seeded
+// model's parameters, so a copy must be byte-identical to seeding.
+class ZooCopy : public ::testing::TestWithParam<nn::Benchmark> {};
+
+TEST_P(ZooCopy, CopiedParametersAreByteIdenticalToSeeding) {
+  const nn::Model seeded = nn::make_model(GetParam(), 31);
+  const nn::Model copied = nn::make_model(GetParam(), 31, seeded.parameters());
+  ASSERT_EQ(copied.parameter_count(), seeded.parameter_count());
+  EXPECT_EQ(std::memcmp(copied.parameters().data(), seeded.parameters().data(),
+                        seeded.parameter_count() * sizeof(float)),
+            0);
+  for (float g : copied.gradients()) ASSERT_EQ(g, 0.0F);
+}
+
+TEST_P(ZooCopy, WrongSizedInitialIsANamedError) {
+  const nn::Model seeded = nn::make_model(GetParam(), 31);
+  const std::span<const float> params = seeded.parameters();
+  std::vector<float> longer(params.begin(), params.end());
+  longer.push_back(0.0F);
+  for (const std::span<const float> wrong :
+       {params.first(params.size() - 1), std::span<const float>(longer)}) {
+    try {
+      (void)nn::make_model(GetParam(), 31, wrong);
+      ADD_FAILURE() << "a " << wrong.size() << "-value initial vector for a "
+                    << params.size() << "-parameter model was accepted";
+    } catch (const util::CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "initial parameter vector does not match"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBenchmarks, ZooCopy,
+                         ::testing::ValuesIn(nn::kAllBenchmarks));
+
+// The seeded draws are pinned: FNV-1a of every proxy's parameter bytes at
+// seed 7.  make_model binds every layer before initializing any, which must
+// leave the draws exactly where layer-by-layer bind + init put them.
+TEST(Model, SeededParametersArePinned) {
+  const std::pair<nn::Benchmark, std::uint32_t> pinned[] = {
+      {nn::Benchmark::kResNet20, 0x1e92d72fU},
+      {nn::Benchmark::kVgg16, 0x4cf89d32U},
+      {nn::Benchmark::kResNet50, 0xe70edb25U},
+      {nn::Benchmark::kVgg19, 0xc3e47d31U},
+      {nn::Benchmark::kLstmPtb, 0x23d10041U},
+      {nn::Benchmark::kLstmAn4, 0x83500fbcU}};
+  for (const auto& [benchmark, hash] : pinned) {
+    const nn::Model model = nn::make_model(benchmark, 7);
+    const std::span<const float> params = model.parameters();
+    EXPECT_EQ(comm::fnv1a32(std::span<const std::uint8_t>(
+                  reinterpret_cast<const std::uint8_t*>(params.data()),
+                  params.size() * sizeof(float))),
+              hash)
+        << nn::benchmark_spec(benchmark).name;
+  }
 }
 
 TEST(Model, IdenticalSeedsGiveIdenticalParameters) {

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Bench smoke gate for the SIDCo multi-stage compress, SIMD dispatch and nn
-layer kernel paths.
+"""Bench smoke gate for the SIDCo multi-stage compress, SIMD dispatch, nn
+layer kernel and replica construction paths.
 
 Usage:
     check_bench_regression.py CURRENT.json [CURRENT2.json ...] [BASELINE.json]
@@ -50,7 +50,9 @@ import sys
 # pairs gate the dispatched kernel and codec fast paths (bit-identical to
 # scalar by the differential suite, so the ratio is pure speed); the layer
 # pairs gate the vectorized Conv2D/Dense kernels against the frozen scalar
-# loops (bit-identical by test_nn_kernels).
+# loops (bit-identical by test_nn_kernels); the replica pair gates building a
+# session's workers from one seeded model against seeding each of them
+# (byte-identical replicas by test_dist).
 GATED_PAIRS = [
     ("BM_SidcoMultiStageCompressLegacy/", "BM_SidcoMultiStageCompress/",
      "multi-stage compress (seed vs fused)"),
@@ -74,6 +76,8 @@ GATED_PAIRS = [
      "conv layer fwd+bwd (scalar loop vs vectorized)"),
     ("BM_DenseLayerLegacy/", "BM_DenseLayer/",
      "dense layer fwd+bwd (scalar loop vs vectorized)"),
+    ("BM_MakeWorkersSeeded/", "BM_MakeWorkers/",
+     "replica construction (every worker seeded vs one seeded, copied)"),
 ]
 REGRESSION_TOLERANCE = 0.20  # fail if the speedup ratio drops >20%
 

@@ -62,6 +62,14 @@ def layer_run(legacy_time, vectorized_time):
     ])
 
 
+def replica_run(seeded_time, copied_time):
+    """A kernel dump with the replica-construction pair."""
+    return bench_json([
+        ("BM_MakeWorkersSeeded/vgg19", seeded_time),
+        ("BM_MakeWorkers/vgg19", copied_time),
+    ])
+
+
 class CheckBenchRegressionTest(unittest.TestCase):
     def setUp(self):
         self._dir = tempfile.TemporaryDirectory()
@@ -241,6 +249,14 @@ class CheckBenchRegressionTest(unittest.TestCase):
         baseline = self.write("baseline.json", layer_run(400.0, 100.0))
         self.assertEqual(self.run_gate(current, baseline), 1)
         healthy = self.write("healthy.json", layer_run(380.0, 100.0))
+        self.assertEqual(self.run_gate(healthy, baseline), 0)
+
+    def test_replica_construction_pair_gates(self):
+        # Every replica seeded again: baseline 2.2x, current 1.05x.
+        current = self.write("current.json", replica_run(105.0, 100.0))
+        baseline = self.write("baseline.json", replica_run(220.0, 100.0))
+        self.assertEqual(self.run_gate(current, baseline), 1)
+        healthy = self.write("healthy.json", replica_run(200.0, 100.0))
         self.assertEqual(self.run_gate(healthy, baseline), 0)
 
 
