@@ -67,10 +67,6 @@ double get_f64_le(std::span<const std::uint8_t> buffer, std::size_t pos) {
   return std::bit_cast<double>(get_u64_le(buffer, pos));
 }
 
-float get_f32_le(std::span<const std::uint8_t> buffer, std::size_t pos) {
-  return std::bit_cast<float>(get_u32_le(buffer, pos));
-}
-
 std::array<std::uint8_t, kFrameHeaderBytes> encode_frame_header(
     const FrameHeader& header) {
   util::check(header.body_len <= kMaxFrameBody,

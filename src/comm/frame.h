@@ -61,11 +61,6 @@ inline constexpr std::size_t kMaxFrameBody = std::size_t{1} << 30;
 
 /// Little-endian scalar append/read primitives shared by the frame codec and
 /// the transport message serializers.
-inline void put_u16_le(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
 inline void put_u32_le(std::vector<std::uint8_t>& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
     out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
@@ -125,7 +120,6 @@ std::uint32_t get_u32_le(std::span<const std::uint8_t> buffer,
 std::uint64_t get_u64_le(std::span<const std::uint8_t> buffer,
                          std::size_t pos);
 double get_f64_le(std::span<const std::uint8_t> buffer, std::size_t pos);
-float get_f32_le(std::span<const std::uint8_t> buffer, std::size_t pos);
 
 /// Parsed frame header (everything except the body bytes themselves).
 struct FrameHeader {

@@ -306,10 +306,6 @@ ResidualHandoff parse_residual_handoff(const std::string& token) {
   util::check_fail("unknown handoff token (want zero|warm): " + token);
 }
 
-std::string_view residual_handoff_name(ResidualHandoff handoff) {
-  return handoff == ResidualHandoff::kZeroInit ? "zero" : "warm";
-}
-
 std::vector<double> resolve_device_profile(const DeviceProfile& profile,
                                            std::size_t workers) {
   util::check(workers >= 1, "device profile needs >= 1 worker");

@@ -96,7 +96,6 @@ ChurnSchedule parse_churn_schedule(const std::string& token);
 enum class ResidualHandoff { kZeroInit, kWarmStart };
 
 ResidualHandoff parse_residual_handoff(const std::string& token);
-std::string_view residual_handoff_name(ResidualHandoff handoff);
 
 /// Resolves a device profile to per-worker time multipliers (empty =
 /// homogeneous).  Throws util::CheckError on an unknown profile name.

@@ -235,6 +235,15 @@ std::size_t payload_timing_bytes(std::size_t measured_bytes, std::size_t dim,
   return static_cast<std::size_t>(std::ceil(std::max(scaled, 1.0)));
 }
 
+StepScalars step_scalars(const WorkerStepResult& step) {
+  return {.nnz = step.selected,
+          .wire_bytes = step.wire_bytes,
+          .train_loss = step.train_loss,
+          .train_accuracy = step.train_accuracy,
+          .measured_compression = step.measured_compression_seconds,
+          .stages_used = step.stages_used};
+}
+
 // Mean measured push-payload bytes per worker this iteration, scaled to the
 // timing dimension.  Shared verbatim by every engine and the frozen
 // reference loop — their timing bit-identity contract rests on running the
@@ -313,6 +322,43 @@ double common_compression_seconds(const SessionConfig& config,
 
 std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 
+std::span<const float> decoded_mean(
+    comm::SparseAccumulator& accumulator,
+    std::span<const std::span<const std::uint8_t>> payloads,
+    std::size_t dim) {
+  accumulator.reset(dim);
+  const auto scale =
+      static_cast<float>(1.0 / static_cast<double>(payloads.size()));
+  for (const std::span<const std::uint8_t> payload : payloads) {
+    accumulator.accumulate_encoded(payload, scale);
+  }
+  return accumulator.dense();
+}
+
+bool eval_due(const SessionConfig& config, std::size_t iter) {
+  const bool last = iter + 1 == config.iterations;
+  const bool scheduled =
+      config.eval_every > 0 && (iter + 1) % config.eval_every == 0;
+  return scheduled || last;
+}
+
+nn::LossResult evaluate(const SessionConfig& config, Worker& worker) {
+  const std::size_t batch = std::max<std::size_t>(
+      nn::benchmark_spec(config.benchmark).batch_size, 1);
+  return worker.evaluate(batch, config.eval_batches);
+}
+
+void append_eval(SessionResult& result, std::size_t iter,
+                 const nn::LossResult& eval) {
+  result.evals.push_back(
+      {.iteration = iter + 1,
+       .loss = eval.loss,
+       .accuracy = eval.accuracy,
+       .quality =
+           benchmark_quality(result.config.benchmark, eval.loss, eval.accuracy)
+               .value});
+}
+
 IterationRecord collective_iteration_record(const SessionConfig& config,
                                             const TimingContext& timing,
                                             std::span<const StepScalars> steps,
@@ -374,58 +420,122 @@ void finalize_result(SessionResult& result) {
   result.quality_higher_is_better = quality.higher_is_better;
 }
 
-void ps_round_record(const SessionConfig& config, const TimingContext& timing,
-                     std::span<const PsPartScalars> parts,
-                     IterationRecord& record,
-                     std::vector<std::size_t>& staleness_histogram) {
+void charge_collective(SessionResult& result, const IterationRecord& record,
+                       std::size_t n, std::size_t dim) {
+  result.total_wire_bytes += record.wire_bytes;
+  if (n > 1) {
+    result.total_dense_equiv_bytes += n * NetworkModel::dense_bytes(dim);
+  }
+}
+
+IterationRecord CollectiveRound::run(const SessionConfig& config,
+                                     const TimingContext& timing,
+                                     std::span<Worker* const> replicas,
+                                     std::size_t iter, SessionResult& result) {
+  const std::size_t n = replicas.size();
+  const std::size_t batch = nn::benchmark_spec(config.benchmark).batch_size;
+  steps_.resize(n);
+  payloads_.resize(n);
+  scalars.resize(n);
+  produce.resize(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    steps_[k] = replicas[k]->step(batch);
+    payloads_[k] = steps_[k].encoded;
+    scalars[k] = step_scalars(steps_[k]);
+  }
+  // Every replica applies the same decoded mean of the actual wire payloads
+  // (bit-identical to the dense reference mean), in lock step.
+  const std::span<const float> mean =
+      decoded_mean(accumulator_, payloads_, timing.dim);
+  for (Worker* replica : replicas) replica->apply_update(mean);
+
+  const IterationRecord record =
+      collective_iteration_record(config, timing, scalars, produce);
+  charge_collective(result, record, n, timing.dim);
+  if (eval_due(config, iter)) {
+    append_eval(result, iter, evaluate(config, *replicas.front()));
+  }
+  return record;
+}
+
+PsServer::PsServer(const SessionConfig& config, const TimingContext& timing,
+                   std::span<const float> initial, SessionResult& result)
+    : config_(config),
+      timing_(timing),
+      params_(initial.begin(), initial.end()),
+      optimizer_(nn::benchmark_spec(config.benchmark).optimizer),
+      // Same architecture and dataset stream as every worker's held-out
+      // batches; overwritten with the canonical copy before each eval.
+      eval_head_(config.benchmark, config.seed, eval_head_stream_seed(config),
+                 core::Scheme::kNone, 1.0, false, initial),
+      pull_bytes_of_round_(config.iterations, 0) {
+  result.staleness_histogram.assign(config.staleness_bound + 1, 0);
+  result.iterations.resize(config.iterations);
+}
+
+IterationRecord& PsServer::apply_round(
+    std::size_t r, std::span<const std::span<const std::uint8_t>> payloads,
+    std::span<const PsPartScalars> parts, SessionResult& result) {
+  const std::span<const float> mean =
+      decoded_mean(accumulator_, payloads, timing_.dim);
+  // Serialize the round's mean update as it would be pulled: the union of
+  // worker supports densifies, and the measured payload — not an analytic
+  // nnz estimate — is what pulls pay for.
+  pull_bytes_of_round_[r] = comm::encode_dense_or_sparse(
+      mean, comm::ValueMode::kFp32, update_scratch_, update_encoded_);
+  optimizer_.step(params_, mean);
+  version_ = r + 1;
+
+  IterationRecord& record = result.iterations[r];
   const std::size_t n = parts.size();
-  const bool wired = n > 1;
   double nnz = 0.0;
   double max_compression = 0.0;
   int stages = 1;
   double max_scale = 0.0;
   for (std::size_t w = 0; w < n; ++w) {
     const PsPartScalars& p = parts[w];
-    record.train_loss += p.train_loss;
-    record.train_accuracy += p.train_accuracy;
-    nnz += static_cast<double>(p.nnz);
+    record.train_loss += p.step.train_loss;
+    record.train_accuracy += p.step.train_accuracy;
+    nnz += static_cast<double>(p.step.nnz);
     max_compression = std::max(max_compression, p.compression_seconds);
-    stages = std::max(stages, p.stages_used);
-    staleness_histogram[p.staleness] += 1;
-    max_scale = std::max(max_scale, worker_scale(config, w));
-    if (wired) record.wire_bytes += p.wire_bytes;
+    stages = std::max(stages, p.step.stages_used);
+    result.staleness_histogram[p.staleness] += 1;
+    max_scale = std::max(max_scale, worker_scale(config_, w));
+    if (n > 1) record.wire_bytes += p.step.wire_bytes;
   }
   const auto nd = static_cast<double>(n);
   record.train_loss /= nd;
   record.train_accuracy /= nd;
-  record.achieved_ratio = nnz / nd / static_cast<double>(timing.dim);
+  record.achieved_ratio = nnz / nd / static_cast<double>(timing_.dim);
   record.stages_used = stages;
-  record.compute_seconds = max_scale * timing.base_compute;
+  record.compute_seconds = max_scale * timing_.base_compute;
   record.compression_seconds = max_compression;
+
+  result.total_wire_bytes += record.wire_bytes;
+  if (config_.workers > 1) {
+    result.total_dense_equiv_bytes +=
+        n * NetworkModel::dense_bytes(timing_.dim);
+  }
+  if (eval_due(config_, r)) {
+    eval_head_.overwrite_parameters(params_);
+    append_eval(result, r, evaluate(config_, eval_head_));
+  }
+  return record;
 }
 
-std::size_t PsApplyState::apply_round_mean(
-    std::span<const std::span<const std::uint8_t>> payloads,
-    std::size_t dense_dim, nn::SgdOptimizer& optimizer,
-    std::span<float> server_params) {
-  // Accumulate over the decoded wire payloads, in worker order —
-  // bit-identical to the dense reference mean of the decoded gradients.
-  accumulator.reset(dense_dim);
-  const auto agg_scale =
-      static_cast<float>(1.0 / static_cast<double>(payloads.size()));
-  for (const std::span<const std::uint8_t> payload : payloads) {
-    accumulator.accumulate_encoded(payload, agg_scale);
+std::size_t PsServer::charge_pull(std::size_t since,
+                                  SessionResult& result) const {
+  std::size_t bytes = 0;
+  for (std::size_t r = since; r < version_; ++r) {
+    bytes += pull_bytes_of_round_[r];
   }
-  const std::span<const float> mean = accumulator.dense();
-
-  // Serialize the round's mean update as it would be pulled: the union of
-  // worker supports densifies, and the measured payload — not an analytic
-  // nnz estimate — is what pulls pay for.
-  const std::size_t pull_bytes = comm::encode_dense_or_sparse(
-      mean, comm::ValueMode::kFp32, update_scratch, update_encoded);
-
-  optimizer.step(server_params, mean);
-  return pull_bytes;
+  if (config_.workers > 1) {
+    // One pull ships the missed round updates; a dense system would ship
+    // the parameter vector once.
+    result.total_wire_bytes += bytes;
+    result.total_dense_equiv_bytes += NetworkModel::dense_bytes(timing_.dim);
+  }
+  return bytes;
 }
 
 }  // namespace detail
@@ -446,10 +556,10 @@ void run_worker_steps(const SessionConfig& config,
 // ---------------------------------------------------------------------------
 // Synchronous collective driver (event-runtime timing: heterogeneous worker
 // speeds and chunked compute/communication overlap; lock-step numerics
-// identical to run_session_reference).
+// identical to run_session_reference).  Time advances in closed form: each
+// round adds its modeled wall seconds.
 // ---------------------------------------------------------------------------
 SessionResult run_allreduce(const SessionConfig& config) {
-  const nn::BenchmarkSpec& spec = nn::benchmark_spec(config.benchmark);
   std::vector<std::unique_ptr<Worker>> workers = make_workers(config);
 
   SessionResult result;
@@ -458,62 +568,14 @@ SessionResult run_allreduce(const SessionConfig& config) {
   result.gradient_dimension = dim;
   const TimingContext timing = make_timing(config, dim);
 
-  const bool wired = config.workers > 1;
-  std::vector<WorkerStepResult> steps(config.workers);
-  std::vector<StepScalars> scalars(config.workers);
-  std::vector<double> produce(config.workers, 0.0);
-  comm::SparseAccumulator accumulator;
-  const std::size_t eval_batch = std::max<std::size_t>(spec.batch_size, 1);
-
+  std::vector<Worker*> replicas;
+  for (const auto& worker : workers) replicas.push_back(worker.get());
+  CollectiveRound round;
   for (std::size_t iter = 0; iter < config.iterations; ++iter) {
-    run_worker_steps(config, workers, spec.batch_size, steps);
-
-    // Collective exchange over the actual wire payloads: every replica
-    // decodes all workers' encoded gradients and reduces them to the mean
-    // (bit-identical to the dense reference mean), then applies the same
-    // averaged gradient synchronously.
-    accumulator.reset(dim);
-    const auto agg_scale =
-        static_cast<float>(1.0 / static_cast<double>(config.workers));
-    for (const WorkerStepResult& s : steps) {
-      accumulator.accumulate_encoded(s.encoded, agg_scale);
-    }
-    for (auto& worker : workers) worker->apply_update(accumulator.dense());
-
-    for (std::size_t w = 0; w < config.workers; ++w) {
-      scalars[w] = {.nnz = steps[w].sparse.nnz(),
-                    .wire_bytes = steps[w].wire_bytes,
-                    .train_loss = steps[w].train_loss,
-                    .train_accuracy = steps[w].train_accuracy,
-                    .measured_compression =
-                        steps[w].measured_compression_seconds,
-                    .stages_used = steps[w].stages_used};
-    }
     const IterationRecord record =
-        collective_iteration_record(config, timing, scalars, produce);
-    result.total_wire_bytes += record.wire_bytes;
-    if (wired) {
-      result.total_dense_equiv_bytes +=
-          config.workers * NetworkModel::dense_bytes(dim);
-    }
+        round.run(config, timing, replicas, iter, result);
     result.total_modeled_seconds += record.wall_seconds();
     result.iterations.push_back(record);
-
-    const bool last = iter + 1 == config.iterations;
-    const bool scheduled =
-        config.eval_every > 0 && (iter + 1) % config.eval_every == 0;
-    if (scheduled || last) {
-      const nn::LossResult eval =
-          workers.front()->evaluate(eval_batch, config.eval_batches);
-      result.evals.push_back({.iteration = iter + 1,
-                              .loss = eval.loss,
-                              .accuracy = eval.accuracy,
-                              .quality = benchmark_quality(config.benchmark,
-                                                           eval.loss,
-                                                           eval.accuracy)
-                                             .value});
-      if (last) break;  // do not evaluate the final iteration twice
-    }
   }
 
   const std::span<const float> params = workers.front()->parameters();
@@ -530,14 +592,8 @@ SessionResult run_allreduce(const SessionConfig& config) {
 
 /// One worker's contribution to a round, staged until the round aggregates.
 struct RoundPart {
-  tensor::SparseGradient sparse;
+  PsPartScalars scalars;
   std::vector<std::uint8_t> encoded;  ///< the wire payload actually pushed
-  std::size_t wire_bytes = 0;         ///< encoded.size(), proxy dimension
-  double train_loss = 0.0;
-  double train_accuracy = 0.0;
-  double compression_seconds = 0.0;  ///< modeled, speed-scaled
-  int stages_used = 1;
-  std::size_t staleness = 0;  ///< applied rounds missing at compute time
 };
 
 struct RoundBucket {
@@ -558,22 +614,11 @@ SessionResult run_parameter_server(const SessionConfig& config) {
   const std::size_t n = config.workers;
   const std::size_t rounds = config.iterations;
   const std::size_t slack = config.staleness_bound;
-  const std::size_t eval_batch = std::max<std::size_t>(spec.batch_size, 1);
 
-  // Canonical server state: the replicas all start bit-identical, so the
-  // server copy is worker 0's initial parameters, updated through one
-  // canonical optimizer (the s == 0 degeneracy to the synchronous session
+  // The replicas all start bit-identical, so the server copy is worker 0's
+  // initial parameters (the s == 0 degeneracy to the synchronous session
   // rests on every update flowing through this single state).
-  const std::span<const float> init = workers.front()->parameters();
-  std::vector<float> server_params(init.begin(), init.end());
-  nn::SgdOptimizer server_optimizer(spec.optimizer);
-
-  // A dedicated evaluation head: same architecture and same dataset stream
-  // as every worker's held-out batches.  It is built from the server copy
-  // and overwritten with the server copy before each eval.
-  Worker eval_head(config.benchmark, config.seed,
-                   eval_head_stream_seed(config), core::Scheme::kNone, 1.0,
-                   false, server_params);
+  PsServer server(config, timing, workers.front()->parameters(), result);
 
   EventQueue queue;
   // The server NIC: pushes and pulls serialize in event order.  A single
@@ -585,14 +630,7 @@ SessionResult run_parameter_server(const SessionConfig& config) {
 
   std::vector<RoundBucket> buckets(rounds);
   for (auto& b : buckets) b.parts.resize(n);
-  std::vector<std::size_t> pull_bytes_of_round(rounds, 0);
   std::vector<double> apply_time(rounds, 0.0);
-  std::size_t version = 0;  // rounds applied so far
-
-  // Server-side aggregation state (decoded-payload accumulation + the
-  // pull-payload scratch), shared with the threaded engine via detail so
-  // both apply rounds through literally the same code.  All reused.
-  PsApplyState apply_state;
   std::vector<std::span<const std::uint8_t>> payload_spans(n);
   std::vector<PsPartScalars> part_scalars(n);
 
@@ -600,29 +638,22 @@ SessionResult run_parameter_server(const SessionConfig& config) {
   std::vector<bool> blocked(n, false);
   std::vector<std::size_t> blocked_round(n, 0);
 
-  result.staleness_histogram.assign(slack + 1, 0);
-  result.iterations.resize(rounds);
-
   // Runs the real forward/backward/compress step for (w, round) at simulated
   // time `now`, stages the gradient into the round bucket, and schedules the
   // step-completion event.
   const auto compute = [&](std::size_t w, std::size_t round, double now) {
     WorkerStepResult step = workers[w]->step(spec.batch_size);
     // Per-part modeled compression: the shared engine dispatch evaluated at
-    // this part's stage count / measured latency.  The threaded PS engine
-    // prices its parts through the exact same helper.
+    // this part's stage count / measured latency.  The real PS engines price
+    // their parts through the exact same helper.
     const double compression = common_compression_seconds(
         config, timing, step.stages_used, step.measured_compression_seconds);
     const double scale = worker_scale(config, w);
-    RoundPart& part = buckets[round].parts[w];
-    part.sparse = std::move(step.sparse);
-    part.encoded = std::move(step.encoded);
-    part.wire_bytes = step.wire_bytes;
-    part.train_loss = step.train_loss;
-    part.train_accuracy = step.train_accuracy;
-    part.compression_seconds = scale * compression;
-    part.stages_used = step.stages_used;
-    part.staleness = round - worker_version[w];
+    buckets[round].parts[w] = {
+        .scalars = {.step = step_scalars(step),
+                    .compression_seconds = scale * compression,
+                    .staleness = round - worker_version[w]},
+        .encoded = std::move(step.encoded)};
     queue.push(now + scale * (timing.base_compute + compression), w,
                EventKind::kStepDone, round);
   };
@@ -631,26 +662,18 @@ SessionResult run_parameter_server(const SessionConfig& config) {
   // parameters when the server has moved on, then computes.
   const auto start_round = [&](std::size_t w, std::size_t round, double now) {
     if (round >= rounds) return;  // this worker is done
+    const std::size_t version = server.version();
     if (version + slack < round) {
       blocked[w] = true;
       blocked_round[w] = round;
       return;
     }
     if (worker_version[w] < version) {
-      std::size_t bytes = 0;
-      for (std::size_t r = worker_version[w]; r < version; ++r) {
-        bytes += pull_bytes_of_round[r];
-      }
-      if (wired) {
-        // One pull event ships the missed round updates; a dense system
-        // would ship the parameter vector once.
-        result.total_wire_bytes += bytes;
-        result.total_dense_equiv_bytes += NetworkModel::dense_bytes(dim);
-      }
+      const std::size_t bytes = server.charge_pull(worker_version[w], result);
       // Snapshot semantics: the transfer carries the parameters as of pull
       // start, so the replica is overwritten now and compute begins when the
       // wire drains.
-      workers[w]->overwrite_parameters(server_params);
+      workers[w]->overwrite_parameters(server.parameters());
       worker_version[w] = version;
       queue.push(wired ? link.transfer(
                              now, payload_timing_bytes(bytes, dim,
@@ -666,53 +689,21 @@ SessionResult run_parameter_server(const SessionConfig& config) {
   const auto apply_round = [&](std::size_t r, double now) {
     RoundBucket& bucket = buckets[r];
     for (std::size_t w = 0; w < n; ++w) {
-      const RoundPart& p = bucket.parts[w];
-      payload_spans[w] = p.encoded;
-      part_scalars[w] = {.nnz = p.sparse.nnz(),
-                         .wire_bytes = p.wire_bytes,
-                         .train_loss = p.train_loss,
-                         .train_accuracy = p.train_accuracy,
-                         .compression_seconds = p.compression_seconds,
-                         .stages_used = p.stages_used,
-                         .staleness = p.staleness};
+      payload_spans[w] = bucket.parts[w].encoded;
+      part_scalars[w] = bucket.parts[w].scalars;
     }
-    pull_bytes_of_round[r] = apply_state.apply_round_mean(
-        payload_spans, dim, server_optimizer, server_params);
-    version = r + 1;
+    IterationRecord& record =
+        server.apply_round(r, payload_spans, part_scalars, result);
     apply_time[r] = now;
-
-    IterationRecord& record = result.iterations[r];
-    ps_round_record(config, timing, part_scalars, record,
-                    result.staleness_histogram);
-    result.total_wire_bytes += record.wire_bytes;
-    if (wired) {
-      result.total_dense_equiv_bytes += n * NetworkModel::dense_bytes(dim);
-    }
     record.modeled_wall_seconds = r == 0 ? now : now - apply_time[r - 1];
     // Exposed (non-overlapped) transfer + wait time of the round.
     record.communication_seconds =
         std::max(0.0, record.modeled_wall_seconds - record.compute_seconds -
                           record.compression_seconds);
 
-    const bool last = r + 1 == rounds;
-    const bool scheduled =
-        config.eval_every > 0 && (r + 1) % config.eval_every == 0;
-    if (scheduled || last) {
-      eval_head.overwrite_parameters(server_params);
-      const nn::LossResult eval =
-          eval_head.evaluate(eval_batch, config.eval_batches);
-      result.evals.push_back({.iteration = r + 1,
-                              .loss = eval.loss,
-                              .accuracy = eval.accuracy,
-                              .quality = benchmark_quality(config.benchmark,
-                                                           eval.loss,
-                                                           eval.accuracy)
-                                             .value});
-    }
-
     // The new version may release workers parked on the staleness guard.
     for (std::size_t w = 0; w < n; ++w) {
-      if (blocked[w] && version + slack >= blocked_round[w]) {
+      if (blocked[w] && server.version() + slack >= blocked_round[w]) {
         blocked[w] = false;
         queue.push(now, w, EventKind::kWake, blocked_round[w]);
       }
@@ -737,7 +728,7 @@ SessionResult run_parameter_server(const SessionConfig& config) {
       case EventKind::kStepDone: {
         const RoundPart& part = buckets[event.round].parts[event.worker];
         const std::size_t bytes = payload_timing_bytes(
-            part.wire_bytes, dim, timing.timing_dim);
+            part.scalars.step.wire_bytes, dim, timing.timing_dim);
         queue.push(wired ? link.transfer(event.time, bytes) : event.time,
                    event.worker, EventKind::kPushArrive, event.round);
         // The device is free as soon as the NIC owns the payload.
@@ -748,18 +739,19 @@ SessionResult run_parameter_server(const SessionConfig& config) {
         buckets[event.round].arrived += 1;
         // Per-worker pushes traverse the FIFO link in round order, so
         // buckets complete in order and rounds apply in order.
-        while (version < rounds && buckets[version].arrived == n) {
-          apply_round(version, event.time);
+        while (server.version() < rounds &&
+               buckets[server.version()].arrived == n) {
+          apply_round(server.version(), event.time);
         }
         break;
       }
     }
   }
 
-  util::check(version == rounds,
+  util::check(server.version() == rounds,
               "event simulation ended before all rounds were applied");
   result.total_modeled_seconds = apply_time[rounds - 1];
-  result.final_parameters = std::move(server_params);
+  result.final_parameters = server.release_parameters();
   finalize_result(result);
   return result;
 }

@@ -1,15 +1,32 @@
-// Shared internals of the session drivers (session.cpp) and the threaded
-// runtime engine (runtime/threaded_session.cpp).
+// Shared internals of every session driver.  Each idea of a training round
+// exists here once, and every driver calls it:
 //
-// Everything here is behavior the engines must agree on *exactly*: worker
-// seed derivation, the timing-context arithmetic that pins modeled compute
-// to the benchmark's communication overhead, and the measured-payload byte
-// scaling.  The bit-identity contracts (event engine vs run_session_reference
-// in test_session_async, threads engine vs the same oracle in
-// test_runtime_differential) rest on every engine calling these exact
-// helpers — change them here and every engine moves together, or not at all.
+//  - CollectiveRound (one lock-step allgather round: steps, decoded mean,
+//    apply, record, byte charges, scheduled eval): the simulated
+//    run_allreduce and the fleet's sched::start_round.
+//  - PsServer (the parameter server's canonical parameters, optimizer and
+//    eval head; round apply and pull charges): the simulated
+//    run_parameter_server and the real engines' topo::run_ps_server.
+//  - decoded_mean: CollectiveRound, PsServer and the real engines' allgather
+//    worker (topo::run_collective_worker).
+//  - eval_due / evaluate / append_eval: CollectiveRound, PsServer and the
+//    real engines' allgather worker (which evaluates) and coordinator (which
+//    records).
+//  - step_scalars: every driver's per-worker projection of a step.
+//  - collective_iteration_record: CollectiveRound and the real engines'
+//    allgather coordinator.
+//  - make_workers / make_worker, make_timing and the byte scaling: every
+//    driver.  The frozen run_session_reference calls only make_workers and
+//    mean_push_timing_bytes, so it stays an independent oracle.
 //
-// This header is internal to the dist/runtime pair: not for use by
+// The drivers then differ only in how they advance time: closed form
+// (run_allreduce), event queue (run_parameter_server), fair-share link
+// (sched::run_fleet) or a real transport (runtime/topology.h).  The
+// bit-identity contracts (test_session_async, test_runtime_differential,
+// test_socket_differential, test_scheduler) rest on this sharing: change a
+// helper here and every engine moves together, or not at all.
+//
+// This header is internal to the dist/runtime/sched modules: not for use by
 // application code.
 #pragma once
 
@@ -17,6 +34,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "comm/aggregate.h"
@@ -59,9 +77,9 @@ double worker_scale(const SessionConfig& config, std::size_t w);
 std::size_t payload_timing_bytes(std::size_t measured_bytes, std::size_t dim,
                                  std::size_t timing_dim);
 
-/// Per-worker step scalars a collective driver aggregates: the engine-
-/// neutral projection of WorkerStepResult (simulated engine) and of the
-/// threaded engine's step reports.
+/// Per-worker step scalars a driver aggregates: the engine-neutral
+/// projection of a WorkerStepResult (step_scalars), which the real engines'
+/// workers ship to their coordinator or server.
 struct StepScalars {
   std::size_t nnz = 0;
   std::size_t wire_bytes = 0;
@@ -71,11 +89,14 @@ struct StepScalars {
   int stages_used = 1;
 };
 
+/// The one projection of a worker step onto its StepScalars.
+StepScalars step_scalars(const WorkerStepResult& step);
+
 /// Mean measured push-payload bytes per worker this iteration, scaled to the
-/// timing dimension.  Shared verbatim by the event driver, the threaded
-/// engine and the frozen reference loop — their timing bit-identity
-/// contracts rest on running the exact same arithmetic here (both overloads
-/// perform the identical double-precision sum in worker order).
+/// timing dimension.  Shared verbatim by every collective driver and the
+/// frozen reference loop — their timing bit-identity contracts rest on
+/// running the exact same arithmetic here (both overloads perform the
+/// identical double-precision sum in worker order).
 std::size_t mean_push_timing_bytes(std::span<const StepScalars> steps,
                                    std::size_t dim, std::size_t timing_dim);
 std::size_t mean_push_timing_bytes(const std::vector<WorkerStepResult>& steps,
@@ -104,61 +125,122 @@ double common_compression_seconds(const SessionConfig& config,
 
 std::size_t ceil_div(std::size_t a, std::size_t b);
 
+/// Decode-accumulates the round's encoded payloads at 1/n in worker order
+/// into `accumulator` and returns the mean (a view into it) — bit-identical
+/// to tensor::aggregate_mean of the decoded gradients.  The only place a
+/// driver reduces encoded payloads.
+std::span<const float> decoded_mean(
+    comm::SparseAccumulator& accumulator,
+    std::span<const std::span<const std::uint8_t>> payloads, std::size_t dim);
+
+/// Whether an eval follows iteration `iter` (0-based): every `eval_every`
+/// iterations, and always after the last one — each iteration at most once.
+bool eval_due(const SessionConfig& config, std::size_t iter);
+
+/// The session's held-out evaluation on `worker`'s replica.
+nn::LossResult evaluate(const SessionConfig& config, Worker& worker);
+
+/// Records the eval that follows iteration `iter` (0-based), its quality
+/// taken for result.config's benchmark.
+void append_eval(SessionResult& result, std::size_t iter,
+                 const nn::LossResult& eval);
+
 /// Assembles one synchronous-collective IterationRecord (metric means +
 /// modeled timing incl. the chunked-overlap schedule) from per-worker step
-/// scalars.  Shared by the simulated allgather driver and the threaded
-/// engine's coordinator so their records stay bit-identical by
-/// construction.  `produce` is caller scratch of size `steps.size()`.
+/// scalars.  Shared by CollectiveRound and the real engines' coordinator so
+/// their records stay bit-identical by construction.  `produce` is caller
+/// scratch of size `steps.size()`.
 IterationRecord collective_iteration_record(const SessionConfig& config,
                                             const TimingContext& timing,
                                             std::span<const StepScalars> steps,
                                             std::span<double> produce);
 
+/// Charges one collective round to `result`: its push bytes, and `n` dense
+/// equivalents when the round crossed the wire.
+void charge_collective(SessionResult& result, const IterationRecord& record,
+                       std::size_t n, std::size_t dim);
+
+/// One lock-step allgather round over the replicas it is handed.  Scratch is
+/// reused across rounds; `scalars` and `produce` hold the last round's step
+/// scalars and per-replica modeled produce seconds.
+class CollectiveRound {
+ public:
+  /// Steps every replica in order, applies the decoded mean of their
+  /// payloads to each, charges the round's bytes to `result`, appends the
+  /// eval of replicas.front() when one is due after iteration `iter`, and
+  /// returns the round's record (timeline fields modeled in closed form).
+  IterationRecord run(const SessionConfig& config, const TimingContext& timing,
+                      std::span<Worker* const> replicas, std::size_t iter,
+                      SessionResult& result);
+
+  std::vector<StepScalars> scalars;
+  std::vector<double> produce;
+
+ private:
+  std::vector<WorkerStepResult> steps_;
+  std::vector<std::span<const std::uint8_t>> payloads_;
+  comm::SparseAccumulator accumulator_;
+};
+
 /// Fills final_loss / final_quality from the last eval record.
 void finalize_result(SessionResult& result);
 
-/// Per-part scalars of one parameter-server round (engine-neutral
-/// projection of the simulated driver's RoundPart and the threaded
-/// engine's push messages).  `compression_seconds` is the modeled,
-/// speed-scaled per-part value (common_compression_seconds x worker scale).
+/// One worker's part of a parameter-server round, engine-neutral: its step
+/// scalars, its modeled speed-scaled compression seconds
+/// (common_compression_seconds x worker scale), and the applied rounds its
+/// parameters missed.
 struct PsPartScalars {
-  std::size_t nnz = 0;
-  std::size_t wire_bytes = 0;
-  double train_loss = 0.0;
-  double train_accuracy = 0.0;
+  StepScalars step;
   double compression_seconds = 0.0;
-  int stages_used = 1;
   std::size_t staleness = 0;
 };
 
-/// Fills the engine-shared fields of a PS round record — metric means,
-/// achieved ratio, modeled compute/compression, staleness histogram bins,
-/// wired push bytes — from the round's per-part scalars (worker order).
-/// Timeline-dependent fields (communication_seconds, modeled_wall_seconds)
-/// stay with the engine: the event driver derives them from the simulated
-/// timeline, the threaded engine measures for real.
-void ps_round_record(const SessionConfig& config, const TimingContext& timing,
-                     std::span<const PsPartScalars> parts,
-                     IterationRecord& record,
-                     std::vector<std::size_t>& staleness_histogram);
+/// The parameter server every engine runs: the canonical parameters (worker
+/// 0's initial replica), one canonical optimizer, and a dedicated eval head
+/// on the workers' held-out stream.  The staleness-0 bit-identity contract
+/// rests on every update flowing through this single state.  All scratch is
+/// reused across rounds.
+class PsServer {
+ public:
+  /// Sizes `result`'s per-round records and staleness histogram.  `config`
+  /// and `timing` are held by reference and must outlive the server.
+  PsServer(const SessionConfig& config, const TimingContext& timing,
+           std::span<const float> initial, SessionResult& result);
 
-/// Server-side aggregation state for applying PS rounds, shared by both
-/// engines so the decode-accumulate order, the pull-payload serialization
-/// and the canonical optimizer step are literally the same code — the
-/// staleness-0 bit-identity contract rests on it.  All scratch is reused
-/// across rounds.
-struct PsApplyState {
-  comm::SparseAccumulator accumulator;
-  tensor::SparseGradient update_scratch;
-  std::vector<std::uint8_t> update_encoded;
+  /// Applies round `r`: the decoded mean of `payloads` (worker order)
+  /// through the canonical optimizer, the round's pull payload sized as it
+  /// would be pulled, its record's engine-shared fields (metric means,
+  /// ratio, modeled compute/compression, staleness bins, wired push bytes),
+  /// push and `parts.size()` dense-equivalent charges, and the eval when one
+  /// is due.  Returns the record; the engine fills communication_seconds and
+  /// modeled_wall_seconds from its own timeline.
+  IterationRecord& apply_round(
+      std::size_t r, std::span<const std::span<const std::uint8_t>> payloads,
+      std::span<const PsPartScalars> parts, SessionResult& result);
 
-  /// Decode-accumulates the round's n encoded payloads in worker order into
-  /// the mean, serializes the mean as it would be pulled, and steps the
-  /// canonical optimizer.  Returns the measured pull-payload bytes.
-  std::size_t apply_round_mean(
-      std::span<const std::span<const std::uint8_t>> payloads,
-      std::size_t dense_dim, nn::SgdOptimizer& optimizer,
-      std::span<float> server_params);
+  /// Charges a pull by a worker last synced at version `since`: one message
+  /// with the encoded means of every round it missed, against one dense
+  /// parameter vector.  Returns the pulled bytes.
+  std::size_t charge_pull(std::size_t since, SessionResult& result) const;
+
+  /// Rounds applied so far.
+  [[nodiscard]] std::size_t version() const { return version_; }
+  [[nodiscard]] std::span<const float> parameters() const { return params_; }
+  [[nodiscard]] std::vector<float> release_parameters() {
+    return std::move(params_);
+  }
+
+ private:
+  const SessionConfig& config_;
+  const TimingContext& timing_;
+  std::vector<float> params_;
+  nn::SgdOptimizer optimizer_;
+  Worker eval_head_;
+  comm::SparseAccumulator accumulator_;
+  tensor::SparseGradient update_scratch_;
+  std::vector<std::uint8_t> update_encoded_;
+  std::vector<std::size_t> pull_bytes_of_round_;
+  std::size_t version_ = 0;
 };
 
 }  // namespace sidco::dist::detail

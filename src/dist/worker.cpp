@@ -113,7 +113,7 @@ WorkerStepResult Worker::step(std::size_t batch_size) {
   result.sparse = compressed_.sparse;  // copy: compressed_ keeps its capacity
   result.encoded = encoded_;           // copy: encoded_ keeps its capacity
   result.wire_bytes = encoded_.size();
-  result.selected = result.sparse.nnz();
+  result.selected = compressed_.sparse.nnz();
   result.train_loss = loss.loss;
   result.train_accuracy = loss.accuracy;
   result.threshold = compressed_.threshold;

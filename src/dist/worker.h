@@ -125,10 +125,6 @@ class Worker {
   [[nodiscard]] std::span<const float> error_memory() const { return memory_; }
   [[nodiscard]] const nn::Model& model() const { return model_; }
 
-  /// The compressor's current target ratio (moves under autotuning).
-  [[nodiscard]] double tuned_ratio() const {
-    return compressor_->target_ratio();
-  }
   /// The armed controller, or nullptr when autotuning is off.
   [[nodiscard]] const core::AutotuneController* autotune() const {
     return autotune_ ? &*autotune_ : nullptr;

@@ -33,7 +33,6 @@ class Model {
   [[nodiscard]] std::size_t parameter_count() const;
   [[nodiscard]] std::size_t in_features() const;
   [[nodiscard]] std::size_t out_features() const;
-  [[nodiscard]] std::size_t layer_count() const { return layers_.size(); }
 
   [[nodiscard]] std::span<float> parameters() { return params_; }
   [[nodiscard]] std::span<const float> parameters() const { return params_; }

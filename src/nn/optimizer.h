@@ -23,7 +23,6 @@ class SgdOptimizer {
   /// The velocity buffer is lazily sized on first use.
   void step(std::span<float> params, std::span<const float> grad);
 
-  void set_learning_rate(double lr) { config_.learning_rate = lr; }
   [[nodiscard]] double learning_rate() const { return config_.learning_rate; }
   [[nodiscard]] const OptimizerConfig& config() const { return config_; }
 

@@ -11,7 +11,6 @@
 #include <cstring>
 #include <exception>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -35,41 +34,6 @@ namespace {
 using dist::SessionConfig;
 using dist::SessionResult;
 using dist::Worker;
-
-bool reliable_enabled(const SessionConfig& config) {
-  return config.reliability.enabled || config.fault.lossy() ||
-         config.fault.cut_from != dist::FaultInjectionConfig::kNone;
-}
-
-/// Owns one participant's chaos decorator stack; `get()` is the endpoint
-/// the protocol body should use (the outermost decorator, or the bare
-/// socket endpoint when no chaos is configured).
-struct DecoratedEndpoint {
-  std::optional<FaultPlan> plan;
-  std::unique_ptr<FaultInjectingEndpoint> injector;
-  std::unique_ptr<ReliableEndpoint> reliable;
-  Endpoint* endpoint = nullptr;
-
-  void wrap(const SessionConfig& config, std::size_t id, Endpoint& base,
-            bool deliver_peer_death) {
-    const std::size_t count = config.workers + 1;
-    endpoint = &base;
-    if (config.fault.lossy()) {
-      plan.emplace(config.fault, count);
-      injector = std::make_unique<FaultInjectingEndpoint>(*endpoint, *plan,
-                                                          id, count);
-      endpoint = injector.get();
-    }
-    if (reliable_enabled(config)) {
-      reliable = std::make_unique<ReliableEndpoint>(
-          *endpoint,
-          reliable_params_from(config, id, deliver_peer_death));
-      endpoint = reliable.get();
-    }
-  }
-
-  [[nodiscard]] Endpoint& get() const { return *endpoint; }
-};
 
 SocketTransport::Family family_from_env() {
   const char* env = std::getenv("SIDCO_SOCKET_FAMILY");

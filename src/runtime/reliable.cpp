@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -78,6 +79,28 @@ ReliableParams reliable_params_from(const dist::SessionConfig& config,
       static_cast<std::int64_t>(r.heartbeat_interval_seconds * 1000.0));
   p.deliver_peer_death = deliver_peer_death;
   return p;
+}
+
+bool reliable_enabled(const dist::SessionConfig& config) {
+  return config.reliability.enabled || config.fault.lossy() ||
+         config.fault.cut_from != dist::FaultInjectionConfig::kNone;
+}
+
+void DecoratedEndpoint::wrap(const dist::SessionConfig& config, std::size_t id,
+                             Endpoint& base, bool deliver_peer_death) {
+  const std::size_t count = config.workers + 1;
+  endpoint_ = &base;
+  if (config.fault.lossy()) {
+    plan_.emplace(config.fault, count);
+    injector_ =
+        std::make_unique<FaultInjectingEndpoint>(*endpoint_, *plan_, id, count);
+    endpoint_ = injector_.get();
+  }
+  if (reliable_enabled(config)) {
+    reliable_ = std::make_unique<ReliableEndpoint>(
+        *endpoint_, reliable_params_from(config, id, deliver_peer_death));
+    endpoint_ = reliable_.get();
+  }
 }
 
 std::optional<std::chrono::steady_clock::time_point> session_deadline(

@@ -47,10 +47,12 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "dist/session.h"
+#include "runtime/fault.h"
 #include "runtime/transport.h"
 
 namespace sidco::runtime {
@@ -77,6 +79,10 @@ struct ReliableParams {
 [[nodiscard]] ReliableParams reliable_params_from(
     const dist::SessionConfig& config, std::size_t self,
     bool deliver_peer_death);
+
+/// Whether `config` runs the reliable layer: asked for, or forced on by
+/// message faults or a link cut.
+[[nodiscard]] bool reliable_enabled(const dist::SessionConfig& config);
 
 /// The session watchdog deadline for `config`: config.deadline_seconds when
 /// set, else the SIDCO_SESSION_DEADLINE environment variable (seconds), else
@@ -161,6 +167,34 @@ class ReliableEndpoint final : public Endpoint {
   std::deque<TransportMessage> ready_;  ///< in-order deliveries awaiting recv
   TransportCounters counters_;
   bool lingering_ = false;  ///< inside flush(): peer death is clean, not fatal
+};
+
+/// One participant's chaos decorator stack, the same on every real engine:
+///
+///     protocol body -> ReliableEndpoint -> FaultInjectingEndpoint -> base
+///
+/// The injector is stacked when `config.fault` is lossy, the reliable layer
+/// when reliable_enabled(config); `get()` is the outermost layer (the bare
+/// base endpoint when no chaos is configured).  Neither copyable nor
+/// movable: the injector holds a reference to the plan it owns.
+class DecoratedEndpoint {
+ public:
+  DecoratedEndpoint() = default;
+  DecoratedEndpoint(const DecoratedEndpoint&) = delete;
+  DecoratedEndpoint& operator=(const DecoratedEndpoint&) = delete;
+
+  /// Builds participant `id`'s stack over `base`.  `deliver_peer_death`
+  /// puts the reliable layer in evict mode (ReliableParams).
+  void wrap(const dist::SessionConfig& config, std::size_t id, Endpoint& base,
+            bool deliver_peer_death);
+
+  [[nodiscard]] Endpoint& get() const { return *endpoint_; }
+
+ private:
+  std::optional<FaultPlan> plan_;
+  std::unique_ptr<FaultInjectingEndpoint> injector_;
+  std::unique_ptr<ReliableEndpoint> reliable_;
+  Endpoint* endpoint_ = nullptr;
 };
 
 }  // namespace sidco::runtime

@@ -14,7 +14,6 @@
 #include "runtime/reliable.h"
 #include "runtime/topology.h"
 #include "runtime/transport.h"
-#include "util/check.h"
 #include "util/timer.h"
 
 namespace sidco::runtime {
@@ -66,11 +65,14 @@ class ErrorSink {
   std::atomic<bool> failed_{false};
 };
 
+}  // namespace
+
 /// Runs the topology bodies (runtime/topology.h) with every worker on a real
 /// std::thread and the coordinator/server body on the calling thread, all
 /// wired through one InMemoryTransport (endpoint n = coordinator).  The
 /// protocol code itself is shared with the sockets engine verbatim.
-SessionResult run_topology_threads(const SessionConfig& config) {
+SessionResult run_session_threads(const SessionConfig& config) {
+  dist::detail::validate_config(config);
   std::vector<std::unique_ptr<Worker>> workers =
       dist::detail::make_workers(config);
 
@@ -92,35 +94,16 @@ SessionResult run_topology_threads(const SessionConfig& config) {
     transport.set_deadline(*deadline);
   }
 
-  // Chaos decorator stack (single-threaded construction, before any
-  // participant starts): protocol body -> reliable -> fault injector ->
-  // channel fabric.  Every decorated endpoint stays single-owner.
+  // Chaos decorator stacks (single-threaded construction, before any
+  // participant starts), the same as the sockets engine's.  Every decorated
+  // endpoint stays single-owner.  Only the server endpoint turns peer death
+  // into an eviction notice; everyone else fails fast (their errors are
+  // skipped at rethrow when the worker was evicted).
   const bool evict = config.on_worker_failure == dist::FailurePolicy::kEvict;
-  const bool use_reliable =
-      config.reliability.enabled || config.fault.lossy() ||
-      config.fault.cut_from != dist::FaultInjectionConfig::kNone;
-  std::optional<FaultPlan> plan;
-  if (config.fault.lossy()) plan.emplace(config.fault, n + 1);
-  std::vector<std::unique_ptr<FaultInjectingEndpoint>> injectors(n + 1);
-  std::vector<std::unique_ptr<ReliableEndpoint>> reliables(n + 1);
-  std::vector<Endpoint*> eps(n + 1);
+  std::vector<DecoratedEndpoint> eps(n + 1);
   for (std::size_t id = 0; id <= n; ++id) {
-    Endpoint* ep = &transport.endpoint(id);
-    if (plan) {
-      injectors[id] =
-          std::make_unique<FaultInjectingEndpoint>(*ep, *plan, id, n + 1);
-      ep = injectors[id].get();
-    }
-    if (use_reliable) {
-      // Only the server endpoint turns peer death into an eviction notice;
-      // everyone else fails fast (their errors are skipped at rethrow when
-      // the worker was evicted).
-      reliables[id] = std::make_unique<ReliableEndpoint>(
-          *ep, reliable_params_from(config, id,
-                                    /*deliver_peer_death=*/evict && id == n));
-      ep = reliables[id].get();
-    }
-    eps[id] = ep;
+    eps[id].wrap(config, id, transport.endpoint(id),
+                 /*deliver_peer_death=*/evict && id == n);
   }
 
   std::vector<topo::MeasuredSeconds> measured;
@@ -133,14 +116,14 @@ SessionResult run_topology_threads(const SessionConfig& config) {
     threads.emplace_back([&, w] {
       errors.guard(w, [&] {
         if (ps) {
-          topo::run_ps_worker(config, w, *workers[w], *eps[w]);
+          topo::run_ps_worker(config, w, *workers[w], eps[w].get());
         } else {
-          topo::run_collective_worker(config, w, *workers[w], *eps[w]);
+          topo::run_collective_worker(config, w, *workers[w], eps[w].get());
         }
         // The reliable layer must drain its window and fence the link (bye)
         // before this thread goes quiet — inside the guard, because a dead
         // peer during the drain is a real error.
-        eps[w]->flush();
+        eps[w].get().flush();
       });
       // This thread is done with its endpoint for good; close the inbox so
       // peers flushing late tail frames at it (a fault schedule's held
@@ -158,13 +141,13 @@ SessionResult run_topology_threads(const SessionConfig& config) {
 
   errors.guard(n, [&] {
     if (ps) {
-      topo::run_ps_server(config, init_params, dim, *eps[n], result,
+      topo::run_ps_server(config, init_params, dim, eps[n].get(), result,
                           measured);
     } else {
-      topo::run_collective_coordinator(config, dim, *eps[n], result,
+      topo::run_collective_coordinator(config, dim, eps[n].get(), result,
                                        measured);
     }
-    eps[n]->flush();
+    eps[n].get().flush();
   });
 
   transport.shutdown();
@@ -173,23 +156,10 @@ SessionResult run_topology_threads(const SessionConfig& config) {
   for (const dist::Eviction& e : result.evictions) evicted[e.worker] = true;
   errors.rethrow_if_any(evicted);
 
-  add_transport_counters(result.fault_counters, eps[n]->counters());
+  add_transport_counters(result.fault_counters, eps[n].get().counters());
   dist::detail::finalize_result(result);
   topo::fill_measured(result, wall, measured);
   return result;
-}
-
-}  // namespace
-
-SessionResult run_session_threads(const SessionConfig& config) {
-  dist::detail::validate_config(config);
-  switch (config.topology) {
-    case dist::Topology::kAllreduce:
-    case dist::Topology::kParameterServer:
-      return run_topology_threads(config);
-  }
-  util::check(false, "unknown session topology");
-  return {};
 }
 
 }  // namespace sidco::runtime

@@ -13,7 +13,6 @@
 #include "comm/codec.h"
 #include "comm/frame.h"
 #include "dist/session_detail.h"
-#include "nn/optimizer.h"
 #include "nn/zoo.h"
 #include "runtime/fault.h"
 #include "runtime/reliable.h"
@@ -55,6 +54,12 @@ void send_or_abort(Endpoint& endpoint, std::size_t to,
   if (!endpoint.send(to, std::move(message))) throw AbortedError{};
 }
 
+/// A message's body bytes; empty when it carries no payload.
+std::span<const std::uint8_t> body_of(const TransportMessage& m) {
+  if (!m.payload) return {};
+  return *m.payload;
+}
+
 /// A whole parameter vector as it travels (kParams bodies and kGrant
 /// snapshots): a codec dense fp32 message, bit-exact in both directions.
 std::shared_ptr<const std::vector<std::uint8_t>> encode_snapshot(
@@ -74,11 +79,9 @@ void decode_snapshot(const TransportMessage& m, std::size_t dim,
         "transport: parameter snapshot is not a dense fp32 message of " +
         std::to_string(dim) + " values" + reason);
   };
-  std::span<const std::uint8_t> body;
-  if (m.payload) body = *m.payload;
   comm::MessageInfo info;
   try {
-    info = comm::decode_dense(body, out);
+    info = comm::decode_dense(body_of(m), out);
   } catch (const util::CheckError& e) {
     fail(std::string(" (") + e.what() + ")");
   }
@@ -121,6 +124,32 @@ MeasuredSeconds decode_done(std::span<const std::uint8_t> body,
           .comm = comm::get_f64_le(body, 8)};
 }
 
+/// A worker's step scalars as they travel in kReport and kPush bodies
+/// (kStepScalarsBytes): nnz u64 | wire_bytes u64 | train_loss f64 |
+/// train_accuracy f64 | measured_compression f64 | stages u32.
+constexpr std::size_t kStepScalarsBytes = 44;
+
+void put_step_scalars(std::vector<std::uint8_t>& body,
+                      const dist::detail::StepScalars& s) {
+  comm::put_u64_le(body, s.nnz);
+  comm::put_u64_le(body, s.wire_bytes);
+  comm::put_f64_le(body, s.train_loss);
+  comm::put_f64_le(body, s.train_accuracy);
+  comm::put_f64_le(body, s.measured_compression);
+  comm::put_u32_le(body, static_cast<std::uint32_t>(s.stages_used));
+}
+
+/// Reads the step scalars at `pos`; the caller has checked the body size.
+dist::detail::StepScalars get_step_scalars(std::span<const std::uint8_t> body,
+                                           std::size_t pos) {
+  return {.nnz = comm::get_u64_le(body, pos),
+          .wire_bytes = comm::get_u64_le(body, pos + 8),
+          .train_loss = comm::get_f64_le(body, pos + 16),
+          .train_accuracy = comm::get_f64_le(body, pos + 24),
+          .measured_compression = comm::get_f64_le(body, pos + 32),
+          .stages_used = static_cast<int>(comm::get_u32_le(body, pos + 40))};
+}
+
 // ---------------------------------------------------------------------------
 // Lock-step collective (allgather).
 // ---------------------------------------------------------------------------
@@ -128,9 +157,7 @@ MeasuredSeconds decode_done(std::span<const std::uint8_t> body,
 /// Step scalars a worker reports per iteration, plus worker 0's eval riding
 /// the same message (it is always enqueued before that worker's next push,
 /// which makes the eval's availability ordering trivial).  Wire layout:
-/// nnz u64 | wire_bytes u64 | train_loss f64 | train_accuracy f64 |
-/// measured_compression f64 | stages u32 | has_eval u8 [| loss f64 |
-/// accuracy f64].
+/// step scalars | has_eval u8 [| loss f64 | accuracy f64].
 struct StepReport {
   dist::detail::StepScalars scalars;
   bool has_eval = false;
@@ -140,12 +167,7 @@ struct StepReport {
 
 std::vector<std::uint8_t> encode_report(const StepReport& r) {
   std::vector<std::uint8_t> body;
-  comm::put_u64_le(body, r.scalars.nnz);
-  comm::put_u64_le(body, r.scalars.wire_bytes);
-  comm::put_f64_le(body, r.scalars.train_loss);
-  comm::put_f64_le(body, r.scalars.train_accuracy);
-  comm::put_f64_le(body, r.scalars.measured_compression);
-  comm::put_u32_le(body, static_cast<std::uint32_t>(r.scalars.stages_used));
+  put_step_scalars(body, r.scalars);
   body.push_back(r.has_eval ? 1 : 0);
   if (r.has_eval) {
     comm::put_f64_le(body, r.eval_loss);
@@ -158,12 +180,7 @@ StepReport decode_report(std::span<const std::uint8_t> body) {
   util::check(body.size() == 45 || body.size() == 61,
               "transport: malformed kReport body");
   StepReport r;
-  r.scalars.nnz = comm::get_u64_le(body, 0);
-  r.scalars.wire_bytes = comm::get_u64_le(body, 8);
-  r.scalars.train_loss = comm::get_f64_le(body, 16);
-  r.scalars.train_accuracy = comm::get_f64_le(body, 24);
-  r.scalars.measured_compression = comm::get_f64_le(body, 32);
-  r.scalars.stages_used = static_cast<int>(comm::get_u32_le(body, 40));
+  r.scalars = get_step_scalars(body, 0);
   r.has_eval = body[44] != 0;
   util::check(body.size() == (r.has_eval ? 61U : 45U),
               "transport: kReport body size does not match its eval flag");
@@ -193,10 +210,10 @@ void run_collective_worker(const SessionConfig& config, std::size_t w,
   const std::size_t n = config.workers;
   const std::size_t iters = config.iterations;
   const std::size_t coordinator = n;
-  const std::size_t eval_batch = std::max<std::size_t>(spec.batch_size, 1);
   const std::size_t dim = worker.gradient_dimension();
 
   comm::SparseAccumulator accumulator;
+  std::vector<std::span<const std::uint8_t>> payloads(n);
   // Messages received but not yet consumed, FIFO per producer.  A peer can
   // run at most one iteration ahead (it cannot finish iteration i+1 without
   // this worker's i+1 payload), so each queue holds at most two entries.
@@ -238,45 +255,34 @@ void run_collective_worker(const SessionConfig& config, std::size_t w,
     measured.comm += phase.seconds();
 
     phase.reset();
-    // Reduce the N decoded payloads in worker order — the exact order of
-    // tensor::aggregate_mean, so every replica computes a bit-identical
-    // mean and replicas never diverge.
-    accumulator.reset(dim);
-    const auto scale = static_cast<float>(1.0 / static_cast<double>(n));
+    // Reduce the N decoded payloads in worker order, so every replica
+    // computes a bit-identical mean and replicas never diverge.  The stashed
+    // messages own their payloads: pop them only once the mean is formed.
     for (std::size_t p = 0; p < n; ++p) {
       if (p == w) {
-        accumulator.accumulate_encoded(*payload, scale);
+        payloads[p] = *payload;
         continue;
       }
-      TransportMessage m = std::move(stash[p].front());
-      stash[p].pop_front();
+      const TransportMessage& m = stash[p].front();
       util::check(m.seq == iter, "allgather payload from the wrong iteration");
-      accumulator.accumulate_encoded(*m.payload, scale);
+      payloads[p] = body_of(m);
     }
-    worker.apply_update(accumulator.dense());
+    worker.apply_update(dist::detail::decoded_mean(accumulator, payloads, dim));
+    for (std::size_t p = 0; p < n; ++p) {
+      if (p != w) stash[p].pop_front();
+    }
     measured.compute += phase.seconds();
 
     StepReport report;
-    report.scalars = {.nnz = step.selected,
-                      .wire_bytes = step.wire_bytes,
-                      .train_loss = step.train_loss,
-                      .train_accuracy = step.train_accuracy,
-                      .measured_compression =
-                          step.measured_compression_seconds,
-                      .stages_used = step.stages_used};
-    if (w == 0) {
-      // Evaluation is metric collection, not training — it stays outside
-      // the measured compute/comm phases.
-      const bool last = iter + 1 == iters;
-      const bool scheduled =
-          config.eval_every > 0 && (iter + 1) % config.eval_every == 0;
-      if (scheduled || last) {
-        const nn::LossResult eval =
-            worker.evaluate(eval_batch, config.eval_batches);
-        report.has_eval = true;
-        report.eval_loss = eval.loss;
-        report.eval_accuracy = eval.accuracy;
-      }
+    report.scalars = dist::detail::step_scalars(step);
+    // Worker 0's replica is the session's eval replica.  Evaluation is
+    // metric collection, not training — it stays outside the measured
+    // compute/comm phases.
+    if (w == 0 && dist::detail::eval_due(config, iter)) {
+      const nn::LossResult eval = dist::detail::evaluate(config, worker);
+      report.has_eval = true;
+      report.eval_loss = eval.loss;
+      report.eval_accuracy = eval.accuracy;
     }
     send_or_abort(endpoint, coordinator,
                   {.kind = kReportKind,
@@ -304,7 +310,6 @@ void run_collective_coordinator(const SessionConfig& config, std::size_t dim,
                                 std::vector<MeasuredSeconds>& measured) {
   const std::size_t n = config.workers;
   const std::size_t iters = config.iterations;
-  const bool wired = n > 1;
   const TimingContext timing = dist::detail::make_timing(config, dim);
 
   measured.assign(n, {});
@@ -320,9 +325,7 @@ void run_collective_coordinator(const SessionConfig& config, std::size_t dim,
                 "coordinator received a message from an unknown worker");
     switch (m.kind) {
       case kReportKind:
-        pending[m.from].push_back(
-            decode_report(m.payload ? *m.payload
-                                    : std::vector<std::uint8_t>{}));
+        pending[m.from].push_back(decode_report(body_of(m)));
         pending_seq[m.from].push_back(m.seq);
         break;
       case kDoneKind:
@@ -364,23 +367,13 @@ void run_collective_coordinator(const SessionConfig& config, std::size_t dim,
 
     const IterationRecord record = dist::detail::collective_iteration_record(
         config, timing, scalars, produce);
-    result.total_wire_bytes += record.wire_bytes;
-    if (wired) {
-      result.total_dense_equiv_bytes +=
-          n * dist::NetworkModel::dense_bytes(dim);
-    }
+    dist::detail::charge_collective(result, record, n, dim);
     result.total_modeled_seconds += record.wall_seconds();
     result.iterations.push_back(record);
-
     if (steps[0].has_eval) {
-      result.evals.push_back(
-          {.iteration = iter + 1,
-           .loss = steps[0].eval_loss,
-           .accuracy = steps[0].eval_accuracy,
-           .quality = dist::benchmark_quality(config.benchmark,
-                                              steps[0].eval_loss,
-                                              steps[0].eval_accuracy)
-                          .value});
+      dist::detail::append_eval(
+          result, iter,
+          {.loss = steps[0].eval_loss, .accuracy = steps[0].eval_accuracy});
     }
   }
 
@@ -397,18 +390,12 @@ void run_collective_coordinator(const SessionConfig& config, std::size_t dim,
 namespace {
 
 /// Fixed-size scalar prefix of a kPush body; the encoded gradient payload
-/// follows.  Layout: staleness u64 | nnz u64 | wire_bytes u64 | train_loss
-/// f64 | train_accuracy f64 | measured_compression f64 | stages u32.
-constexpr std::size_t kPushPrefixBytes = 52;
+/// follows.  Layout: staleness u64 | step scalars.
+constexpr std::size_t kPushPrefixBytes = 8 + kStepScalarsBytes;
 
 struct PushScalars {
   std::size_t staleness = 0;
-  std::size_t nnz = 0;
-  std::size_t wire_bytes = 0;
-  double train_loss = 0.0;
-  double train_accuracy = 0.0;
-  double measured_compression = 0.0;
-  int stages_used = 1;
+  dist::detail::StepScalars step;
 };
 
 std::vector<std::uint8_t> encode_push(const PushScalars& p,
@@ -416,12 +403,7 @@ std::vector<std::uint8_t> encode_push(const PushScalars& p,
   std::vector<std::uint8_t> body;
   body.reserve(kPushPrefixBytes + payload.size());
   comm::put_u64_le(body, p.staleness);
-  comm::put_u64_le(body, p.nnz);
-  comm::put_u64_le(body, p.wire_bytes);
-  comm::put_f64_le(body, p.train_loss);
-  comm::put_f64_le(body, p.train_accuracy);
-  comm::put_f64_le(body, p.measured_compression);
-  comm::put_u32_le(body, static_cast<std::uint32_t>(p.stages_used));
+  put_step_scalars(body, p.step);
   body.insert(body.end(), payload.begin(), payload.end());
   return body;
 }
@@ -429,15 +411,8 @@ std::vector<std::uint8_t> encode_push(const PushScalars& p,
 PushScalars decode_push_prefix(std::span<const std::uint8_t> body) {
   util::check(body.size() >= kPushPrefixBytes,
               "transport: malformed kPush body");
-  PushScalars p;
-  p.staleness = comm::get_u64_le(body, 0);
-  p.nnz = comm::get_u64_le(body, 8);
-  p.wire_bytes = comm::get_u64_le(body, 16);
-  p.train_loss = comm::get_f64_le(body, 24);
-  p.train_accuracy = comm::get_f64_le(body, 32);
-  p.measured_compression = comm::get_f64_le(body, 40);
-  p.stages_used = static_cast<int>(comm::get_u32_le(body, 48));
-  return p;
+  return {.staleness = comm::get_u64_le(body, 0),
+          .step = get_step_scalars(body, 8)};
 }
 
 /// One worker's staged contribution, server side.  The whole kPush body is
@@ -488,14 +463,8 @@ void run_ps_worker(const SessionConfig& config, std::size_t w,
     dist::WorkerStepResult step = worker.step(spec.batch_size);
     measured.compute += phase.seconds();
 
-    const PushScalars scalars{
-        .staleness = round - worker_version,
-        .nnz = step.selected,
-        .wire_bytes = step.wire_bytes,
-        .train_loss = step.train_loss,
-        .train_accuracy = step.train_accuracy,
-        .measured_compression = step.measured_compression_seconds,
-        .stages_used = step.stages_used};
+    const PushScalars scalars{.staleness = round - worker_version,
+                              .step = dist::detail::step_scalars(step)};
     phase.reset();
     const bool accepted =
         endpoint.send(server, {.kind = kPushKind,
@@ -518,21 +487,13 @@ void run_ps_server(const SessionConfig& config,
                    const std::vector<float>& init_params, std::size_t dim,
                    Endpoint& endpoint, SessionResult& result,
                    std::vector<MeasuredSeconds>& measured) {
-  const nn::BenchmarkSpec& spec = nn::benchmark_spec(config.benchmark);
   const std::size_t n = config.workers;
   const std::size_t rounds = config.iterations;
   const std::size_t slack = config.staleness_bound;
-  const bool wired = n > 1;
-  const std::size_t eval_batch = std::max<std::size_t>(spec.batch_size, 1);
   const TimingContext timing = dist::detail::make_timing(config, dim);
 
-  // Canonical server state, exactly as in the simulated driver: worker 0's
-  // initial replica, updated through one canonical optimizer.
-  std::vector<float> server_params = init_params;
-  nn::SgdOptimizer server_optimizer(spec.optimizer);
-  dist::Worker eval_head(config.benchmark, config.seed,
-                         dist::detail::eval_head_stream_seed(config),
-                         core::Scheme::kNone, 1.0, false, server_params);
+  // Canonical server state, exactly as in the simulated driver.
+  dist::detail::PsServer server(config, timing, init_params, result);
 
   measured.assign(n, {});
   std::vector<bool> done_seen(n, false);
@@ -542,26 +503,16 @@ void run_ps_server(const SessionConfig& config,
 
   std::vector<std::vector<PsPart>> buckets(rounds);
   std::vector<std::size_t> arrived(rounds, 0);
-  std::vector<std::size_t> pull_bytes_of_round(rounds, 0);
   std::vector<std::size_t> worker_version(n, 0);  // version last granted
   // wants[w]: the round worker w is waiting to have admitted; rounds
   // (one-past-end) doubles as "nothing pending".
   std::vector<std::size_t> wants(n, rounds);
-  std::size_t version = 0;
 
-  dist::detail::PsApplyState apply_state;
   std::vector<std::span<const std::uint8_t>> payload_spans(n);
   std::vector<dist::detail::PsPartScalars> part_scalars(n);
   std::shared_ptr<const std::vector<std::uint8_t>> snapshot;
   std::size_t snapshot_version = 0;
 
-  result.staleness_histogram.assign(slack + 1, 0);
-  result.iterations.resize(rounds);
-
-  // Applies round r (all n parts arrived) through the same detail helpers
-  // as the simulated driver — decoded-payload accumulation in worker order
-  // through one canonical optimizer is what makes staleness-0 bit-identical
-  // to the oracle.
   // Applies the arrived parts of round r (all of them from the survivors;
   // evicted workers' parts were stripped at eviction).  The mean is over the
   // arrived count, so survivor re-normalization is automatic — and with no
@@ -578,52 +529,21 @@ void run_ps_server(const SessionConfig& config,
       // server-side from the reported stats (the worker never sees the
       // timing context).
       part_scalars[k] = {
-          .nnz = p.nnz,
-          .wire_bytes = p.wire_bytes,
-          .train_loss = p.train_loss,
-          .train_accuracy = p.train_accuracy,
+          .step = p.step,
           .compression_seconds =
               worker_scale(config, w) *
-              common_compression_seconds(config, timing, p.stages_used,
-                                         p.measured_compression),
-          .stages_used = p.stages_used,
+              common_compression_seconds(config, timing, p.step.stages_used,
+                                         p.step.measured_compression),
           .staleness = p.staleness};
       ++k;
     }
-    pull_bytes_of_round[r] = apply_state.apply_round_mean(
-        std::span(payload_spans.data(), k), dim, server_optimizer,
-        server_params);
-    version = r + 1;
-
-    IterationRecord& record = result.iterations[r];
-    dist::detail::ps_round_record(config, timing,
-                                  std::span(part_scalars.data(), k), record,
-                                  result.staleness_histogram);
-    result.total_wire_bytes += record.wire_bytes;
-    if (wired) {
-      result.total_dense_equiv_bytes +=
-          k * dist::NetworkModel::dense_bytes(dim);
-    }
+    IterationRecord& record =
+        server.apply_round(r, std::span(payload_spans.data(), k),
+                           std::span(part_scalars.data(), k), result);
     // Modeled communication needs the event timeline; under a real
     // transport the honest communication number is measured_comm_seconds.
     record.communication_seconds = 0.0;
     result.total_modeled_seconds += record.wall_seconds();
-
-    const bool last = r + 1 == rounds;
-    const bool scheduled =
-        config.eval_every > 0 && (r + 1) % config.eval_every == 0;
-    if (scheduled || last) {
-      eval_head.overwrite_parameters(server_params);
-      const nn::LossResult eval =
-          eval_head.evaluate(eval_batch, config.eval_batches);
-      result.evals.push_back({.iteration = r + 1,
-                              .loss = eval.loss,
-                              .accuracy = eval.accuracy,
-                              .quality = dist::benchmark_quality(
-                                             config.benchmark, eval.loss,
-                                             eval.accuracy)
-                                             .value});
-    }
     parts.clear();
     parts.shrink_to_fit();
   };
@@ -653,13 +573,13 @@ void run_ps_server(const SessionConfig& config,
     util::check(alive > 0,
                 "parameter server: every worker failed; nothing left to "
                 "train");
-    result.evictions.push_back({.worker = w, .round = version});
+    result.evictions.push_back({.worker = w, .round = server.version()});
     if (!done_seen[w]) {
       done_seen[w] = true;
       ++done_count;
     }
     wants[w] = rounds;
-    for (std::size_t r = version; r < rounds; ++r) {
+    for (std::size_t r = server.version(); r < rounds; ++r) {
       if (!buckets[r].empty() && buckets[r][w].arrived) {
         buckets[r][w] = {};
         arrived[r] -= 1;
@@ -667,7 +587,7 @@ void run_ps_server(const SessionConfig& config,
     }
   };
 
-  while (version < rounds) {
+  while (server.version() < rounds) {
     TransportMessage msg = recv_or_abort(endpoint);
     util::check(msg.from < n,
                 "parameter server received a message from an unknown worker");
@@ -690,7 +610,7 @@ void run_ps_server(const SessionConfig& config,
         util::check_fail(
             "parameter server received an out-of-protocol push (worker " +
             std::to_string(w) + ", round " + std::to_string(r) +
-            ", applied version " + std::to_string(version) +
+            ", applied version " + std::to_string(server.version()) +
             (r < rounds && !buckets[r].empty() && buckets[r][w].arrived
                  ? ", duplicate"
                  : ", round already applied or out of range") +
@@ -705,14 +625,15 @@ void run_ps_server(const SessionConfig& config,
 
     // Per-worker pushes arrive in round order (transport FIFO per
     // producer), so buckets complete in order and rounds apply in order.
-    while (version < rounds && arrived[version] == alive) {
-      apply_round(version);
+    while (server.version() < rounds && arrived[server.version()] == alive) {
+      apply_round(server.version());
     }
 
     // Issue every admissible grant.  SSP admission: worker w may compute
     // round c once version + slack >= c; the grant carries a parameter
     // snapshot exactly when the server moved on since w's last pull, with
     // the same pull-byte accounting as the simulated driver.
+    const std::size_t version = server.version();
     for (std::size_t g = 0; g < n; ++g) {
       if (wants[g] >= rounds || version + slack < wants[g]) continue;
       TransportMessage grant{.kind = kGrantKind,
@@ -720,22 +641,12 @@ void run_ps_server(const SessionConfig& config,
                              .seq = version,
                              .payload = nullptr};
       if (worker_version[g] < version) {
-        std::size_t bytes = 0;
-        for (std::size_t pr = worker_version[g]; pr < version; ++pr) {
-          bytes += pull_bytes_of_round[pr];
-        }
-        if (wired) {
-          // One pull ships the missed round updates; a dense system would
-          // ship the parameter vector once.
-          result.total_wire_bytes += bytes;
-          result.total_dense_equiv_bytes +=
-              dist::NetworkModel::dense_bytes(dim);
-        }
+        server.charge_pull(worker_version[g], result);
         if (!snapshot || snapshot_version != version) {
           // The serialized snapshot is shared between simultaneous grants
           // of the same version — a pointer copy per grant, not a copy of
           // the parameters.
-          snapshot = encode_snapshot(server_params);
+          snapshot = encode_snapshot(server.parameters());
           snapshot_version = version;
         }
         grant.payload = snapshot;
@@ -762,7 +673,7 @@ void run_ps_server(const SessionConfig& config,
     route_done(msg);
   }
 
-  result.final_parameters = std::move(server_params);
+  result.final_parameters = server.release_parameters();
 }
 
 }  // namespace sidco::runtime::topo

@@ -65,11 +65,12 @@ void fill_measured(dist::SessionResult& result, const util::Timer& wall,
                    std::span<const MeasuredSeconds> measured);
 
 /// Allgather worker `w`: lock-step broadcast of the encoded payload to every
-/// peer, collect all N payloads, reduce in worker order 0..N-1 (the exact
-/// order of tensor::aggregate_mean, so every replica computes a
-/// bit-identical mean), report step scalars (worker 0: plus scheduled
-/// evals) to the coordinator.  After the last iteration worker 0 ships its
-/// final parameters (kParams) and every worker its measured seconds (kDone).
+/// peer, collect all N payloads, reduce them through the shared
+/// dist::detail::decoded_mean (worker order 0..N-1, so every replica
+/// computes a bit-identical mean), report step scalars (worker 0: plus
+/// scheduled evals) to the coordinator.  After the last iteration worker 0
+/// ships its final parameters (kParams) and every worker its measured
+/// seconds (kDone).
 void run_collective_worker(const dist::SessionConfig& config, std::size_t w,
                            dist::Worker& worker, Endpoint& endpoint);
 
@@ -93,12 +94,12 @@ void run_collective_coordinator(const dist::SessionConfig& config,
 void run_ps_worker(const dist::SessionConfig& config, std::size_t w,
                    dist::Worker& worker, Endpoint& endpoint);
 
-/// Parameter-server loop (endpoint n): owns the canonical parameters
-/// (seeded from `init_params`, worker 0's initial replica), buckets pushes
-/// per round, applies each complete round's mean through the shared
-/// dist::detail::PsApplyState (staleness-0 bit-identity), and grants under
-/// the SSP admission `version + staleness_bound >= round`.  Fills the
-/// engine-shared fields of `result` and collects kDone into `measured`.
+/// Parameter-server loop (endpoint n): runs the shared dist::detail::PsServer
+/// (canonical parameters seeded from `init_params`, worker 0's initial
+/// replica — the staleness-0 bit-identity rests on it), buckets pushes per
+/// round, applies each complete round through it, and grants under the SSP
+/// admission `version + staleness_bound >= round`.  Fills the engine-shared
+/// fields of `result` and collects kDone into `measured`.
 void run_ps_server(const dist::SessionConfig& config,
                    const std::vector<float>& init_params, std::size_t dim,
                    Endpoint& endpoint, dist::SessionResult& result,

@@ -6,10 +6,8 @@
 #include <string>
 #include <utility>
 
-#include "comm/aggregate.h"
 #include "dist/session_detail.h"
 #include "dist/worker.h"
-#include "nn/zoo.h"
 #include "sched/fair_share.h"
 #include "util/check.h"
 
@@ -38,7 +36,6 @@ struct TenantState {
   explicit TenantState(const TenantSpec& spec_in,
                        dist::ResidualHandoff handoff_in)
       : spec(spec_in),
-        bench(nn::benchmark_spec(spec_in.session.benchmark)),
         handoff(handoff_in),
         workers(ddetail::make_workers(spec_in.session)),
         dim(workers.front()->gradient_dimension()),
@@ -49,7 +46,6 @@ struct TenantState {
   }
 
   const TenantSpec& spec;
-  const nn::BenchmarkSpec& bench;
   dist::ResidualHandoff handoff;
 
   std::vector<std::unique_ptr<dist::Worker>> workers;  ///< by worker id
@@ -73,10 +69,8 @@ struct TenantState {
   double drain_time = 0.0;
   std::size_t applied_gradients = 0;
 
-  comm::SparseAccumulator accumulator;
-  std::vector<dist::WorkerStepResult> steps;
-  std::vector<ddetail::StepScalars> scalars;
-  std::vector<double> produce;
+  ddetail::CollectiveRound collective;
+  std::vector<dist::Worker*> replicas;  ///< active workers, by id
   std::vector<float> zero_scratch;
   dist::IterationRecord pending_record;
 
@@ -208,77 +202,32 @@ void apply_churn(TenantState& t) {
   }
 }
 
-/// Runs the numeric round (identical call order to run_allreduce: steps in
-/// worker order, encoded aggregation at 1/n_active, lock-step apply, eval on
-/// the lowest active worker) and schedules its timing phases.
+/// Runs the numeric round (the same CollectiveRound as run_allreduce, over
+/// the active workers in id order, so the eval runs on the lowest active id)
+/// and schedules its timing phases.
 void start_round(TenantState& t, double now) {
   t.round_start = now;
   apply_churn(t);
-  const std::vector<std::size_t> ids = active_ids(t);
-  const std::size_t n = ids.size();
+  t.replicas.clear();
+  for (std::size_t id : active_ids(t)) {
+    t.replicas.push_back(t.workers[id].get());
+  }
+  const std::size_t n = t.replicas.size();
   util::check(n >= 1, "tenant round with no active workers");
-  t.steps.resize(n);
-  t.scalars.resize(n);
-  t.produce.resize(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    t.steps[k] = t.workers[ids[k]]->step(t.bench.batch_size);
-  }
-  t.accumulator.reset(t.dim);
-  const auto agg_scale = static_cast<float>(1.0 / static_cast<double>(n));
-  for (const dist::WorkerStepResult& s : t.steps) {
-    t.accumulator.accumulate_encoded(s.encoded, agg_scale);
-  }
-  for (std::size_t id : ids) {
-    t.workers[id]->apply_update(t.accumulator.dense());
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    t.scalars[k] = {.nnz = t.steps[k].sparse.nnz(),
-                    .wire_bytes = t.steps[k].wire_bytes,
-                    .train_loss = t.steps[k].train_loss,
-                    .train_accuracy = t.steps[k].train_accuracy,
-                    .measured_compression =
-                        t.steps[k].measured_compression_seconds,
-                    .stages_used = t.steps[k].stages_used};
-  }
   // The record's metric fields (losses, ratio, wire bytes) are exactly the
   // standalone engine's; its timeline fields are overwritten at round end
   // with the shared-link schedule.
-  t.pending_record = ddetail::collective_iteration_record(
-      t.spec.session, t.timing, t.scalars, t.produce);
-  t.result.session.total_wire_bytes += t.pending_record.wire_bytes;
-  if (n > 1) {
-    t.result.session.total_dense_equiv_bytes +=
-        n * dist::NetworkModel::dense_bytes(t.dim);
-  }
+  t.pending_record = t.collective.run(t.spec.session, t.timing, t.replicas,
+                                      t.round, t.result.session);
   t.applied_gradients += n;
 
-  const std::size_t iter = t.round;
-  const bool last = iter + 1 == t.spec.session.iterations;
-  const bool scheduled = t.spec.session.eval_every > 0 &&
-                         (iter + 1) % t.spec.session.eval_every == 0;
-  if (scheduled || last) {
-    const std::size_t eval_batch =
-        std::max<std::size_t>(t.bench.batch_size, 1);
-    const nn::LossResult eval =
-        t.workers[ids.front()]->evaluate(eval_batch,
-                                         t.spec.session.eval_batches);
-    t.result.session.evals.push_back(
-        {.iteration = iter + 1,
-         .loss = eval.loss,
-         .accuracy = eval.accuracy,
-         .quality = dist::benchmark_quality(t.spec.session.benchmark,
-                                            eval.loss, eval.accuracy)
-                        .value});
-  }
-
-  double compute_seconds = 0.0;
-  for (double p : t.produce) compute_seconds = std::max(compute_seconds, p);
-  t.compute_end = now + compute_seconds;
+  t.compute_end = now + *std::max_element(t.collective.produce.begin(),
+                                          t.collective.produce.end());
   double demand = t.pending_pull_bytes;
   t.pending_pull_bytes = 0.0;
   if (n > 1) {
-    const std::size_t bytes =
-        ddetail::mean_push_timing_bytes(t.scalars, t.dim, t.timing.timing_dim);
+    const std::size_t bytes = ddetail::mean_push_timing_bytes(
+        t.collective.scalars, t.dim, t.timing.timing_dim);
     // Same arithmetic shape as sparse_allgather_seconds' byte term: each
     // worker receives the other n-1 payloads.
     demand += (static_cast<double>(n) - 1.0) * static_cast<double>(bytes);
