@@ -46,23 +46,19 @@ MessageInfo SparseAccumulator::accumulate_encoded(
   return info;
 }
 
-void allgather_mean(std::span<const std::vector<std::uint8_t>> encoded,
-                    std::size_t dense_dim, double count_divisor,
-                    SparseAccumulator& acc) {
-  util::check(count_divisor > 0.0, "aggregate: divisor must be positive");
+std::span<const float> decoded_mean(
+    SparseAccumulator& acc,
+    std::span<const std::span<const std::uint8_t>> payloads,
+    std::size_t dense_dim) {
+  util::check(!payloads.empty(),
+              "aggregate: a round mean needs at least one payload");
   acc.reset(dense_dim);
-  const auto scale = static_cast<float>(1.0 / count_divisor);
-  for (const std::vector<std::uint8_t>& buffer : encoded) {
-    acc.accumulate_encoded(buffer, scale);
+  const auto scale =
+      static_cast<float>(1.0 / static_cast<double>(payloads.size()));
+  for (const std::span<const std::uint8_t> payload : payloads) {
+    acc.accumulate_encoded(payload, scale);
   }
-}
-
-std::vector<float> allgather_mean(
-    std::span<const std::vector<std::uint8_t>> encoded, std::size_t dense_dim,
-    double count_divisor) {
-  SparseAccumulator acc;
-  allgather_mean(encoded, dense_dim, count_divisor, acc);
-  return std::vector<float>(acc.dense().begin(), acc.dense().end());
+  return acc.dense();
 }
 
 }  // namespace sidco::comm

@@ -54,17 +54,15 @@ class SparseAccumulator {
   std::vector<float> dense_staging_;
 };
 
-/// Decode-side allgather-sum: every worker receives all payloads and reduces
-/// them locally to the mean (divided by `count_divisor`, typically the
-/// worker count).  Bit-identical to tensor::aggregate_mean of the decoded
-/// parts.  The `acc` overload reuses the accumulator's storage; the
-/// convenience overload allocates the result.
-void allgather_mean(std::span<const std::vector<std::uint8_t>> encoded,
-                    std::size_t dense_dim, double count_divisor,
-                    SparseAccumulator& acc);
-
-std::vector<float> allgather_mean(
-    std::span<const std::vector<std::uint8_t>> encoded, std::size_t dense_dim,
-    double count_divisor);
+/// The decode-side mean of one round: resets `acc` to `dense_dim`,
+/// decode-accumulates every encoded payload at 1/payloads.size() in order,
+/// and returns the mean (a view into `acc`).  Bit-identical to
+/// tensor::aggregate_mean of the decoded parts, so replicas reducing the same
+/// payloads in the same order hold the same mean.  An empty payload list is
+/// a util::CheckError.  Every session driver reduces its payloads here.
+std::span<const float> decoded_mean(
+    SparseAccumulator& acc,
+    std::span<const std::span<const std::uint8_t>> payloads,
+    std::size_t dense_dim);
 
 }  // namespace sidco::comm

@@ -125,7 +125,6 @@ void validate_config(const SessionConfig& config) {
   }
   util::check(prob_sum <= 1.0,
               "fault probabilities must sum to <= 1 (one fault per message)");
-  util::check(f.delay_slots >= 1, "fault delay_slots must be >= 1");
   util::check(f.partition_worker == FaultInjectionConfig::kNone ||
                   f.partition_worker < config.workers,
               "fault partition_worker out of range");
@@ -157,14 +156,6 @@ void validate_config(const SessionConfig& config) {
                 "worker eviction requires reliability.enabled (eviction "
                 "needs confirmed death, not a guess)");
   }
-  util::check(config.reliability.max_retries >= 1,
-              "reliability.max_retries must be >= 1");
-  util::check(config.reliability.window >= 1,
-              "reliability.window must be >= 1");
-  util::check(config.reliability.backoff_initial_ms > 0.0 &&
-                  config.reliability.backoff_max_ms >=
-                      config.reliability.backoff_initial_ms,
-              "reliability backoff must be positive and max >= initial");
   util::check(config.reliability.silence_timeout_seconds > 0.0 &&
                   config.reliability.heartbeat_interval_seconds > 0.0,
               "reliability timeouts must be positive");
@@ -322,19 +313,6 @@ double common_compression_seconds(const SessionConfig& config,
 
 std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 
-std::span<const float> decoded_mean(
-    comm::SparseAccumulator& accumulator,
-    std::span<const std::span<const std::uint8_t>> payloads,
-    std::size_t dim) {
-  accumulator.reset(dim);
-  const auto scale =
-      static_cast<float>(1.0 / static_cast<double>(payloads.size()));
-  for (const std::span<const std::uint8_t> payload : payloads) {
-    accumulator.accumulate_encoded(payload, scale);
-  }
-  return accumulator.dense();
-}
-
 bool eval_due(const SessionConfig& config, std::size_t iter) {
   const bool last = iter + 1 == config.iterations;
   const bool scheduled =
@@ -446,7 +424,7 @@ IterationRecord CollectiveRound::run(const SessionConfig& config,
   // Every replica applies the same decoded mean of the actual wire payloads
   // (bit-identical to the dense reference mean), in lock step.
   const std::span<const float> mean =
-      decoded_mean(accumulator_, payloads_, timing.dim);
+      comm::decoded_mean(accumulator_, payloads_, timing.dim);
   for (Worker* replica : replicas) replica->apply_update(mean);
 
   const IterationRecord record =
@@ -477,7 +455,7 @@ IterationRecord& PsServer::apply_round(
     std::size_t r, std::span<const std::span<const std::uint8_t>> payloads,
     std::span<const PsPartScalars> parts, SessionResult& result) {
   const std::span<const float> mean =
-      decoded_mean(accumulator_, payloads, timing_.dim);
+      comm::decoded_mean(accumulator_, payloads, timing_.dim);
   // Serialize the round's mean update as it would be pulled: the union of
   // worker supports densifies, and the measured payload — not an analytic
   // nnz estimate — is what pulls pay for.
@@ -492,15 +470,14 @@ IterationRecord& PsServer::apply_round(
   double max_compression = 0.0;
   int stages = 1;
   double max_scale = 0.0;
-  for (std::size_t w = 0; w < n; ++w) {
-    const PsPartScalars& p = parts[w];
+  for (const PsPartScalars& p : parts) {
     record.train_loss += p.step.train_loss;
     record.train_accuracy += p.step.train_accuracy;
     nnz += static_cast<double>(p.step.nnz);
     max_compression = std::max(max_compression, p.compression_seconds);
     stages = std::max(stages, p.step.stages_used);
     result.staleness_histogram[p.staleness] += 1;
-    max_scale = std::max(max_scale, worker_scale(config_, w));
+    max_scale = std::max(max_scale, worker_scale(config_, p.worker));
     if (n > 1) record.wire_bytes += p.step.wire_bytes;
   }
   const auto nd = static_cast<double>(n);
@@ -650,7 +627,8 @@ SessionResult run_parameter_server(const SessionConfig& config) {
         config, timing, step.stages_used, step.measured_compression_seconds);
     const double scale = worker_scale(config, w);
     buckets[round].parts[w] = {
-        .scalars = {.step = step_scalars(step),
+        .scalars = {.worker = w,
+                    .step = step_scalars(step),
                     .compression_seconds = scale * compression,
                     .staleness = round - worker_version[w]},
         .encoded = std::move(step.encoded)};

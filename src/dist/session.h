@@ -85,12 +85,10 @@ struct FaultInjectionConfig {
   // Per-message fault probabilities in [0, 1]; their sum must be <= 1 (at
   // most one fault per message, chosen by one uniform draw).
   double drop = 0.0;       ///< message vanishes (retransmission recovers it)
-  double delay = 0.0;      ///< held back `delay_slots` sends on its link
+  double delay = 0.0;      ///< held back two sends on its link
   double duplicate = 0.0;  ///< message delivered twice back to back
   double reorder = 0.0;    ///< held back one send (swaps with its successor)
   double corrupt = 0.0;    ///< one payload byte flipped (checksum catches it)
-  /// Holdback span (in subsequent sends on the same link) for `delay`.
-  std::size_t delay_slots = 2;
 
   /// Permanent partition: every message on links touching this worker is
   /// dropped once the link's send index reaches `partition_after`.  The one
@@ -125,17 +123,12 @@ struct FaultInjectionConfig {
 };
 
 /// Reliable-delivery knobs (runtime/reliable.h): per-link ack/retransmission
-/// with exponential backoff over the frame seq field, plus heartbeat-based
-/// silence detection.  Forced on by the engines whenever message faults or a
-/// link cut are configured; can be enabled alone to harden a clean session.
+/// over the frame seq field, plus heartbeat-based silence detection.  Forced
+/// on by the engines whenever message faults or a link cut are configured;
+/// can be enabled alone to harden a clean session.  Retries, backoff and the
+/// send window are runtime::ReliableParams constants.
 struct ReliabilityConfig {
   bool enabled = false;
-  /// Retransmission attempts per frame before the peer is declared dead.
-  std::size_t max_retries = 12;
-  double backoff_initial_ms = 2.0;  ///< first retransmit delay (doubles...)
-  double backoff_max_ms = 200.0;    ///< ...up to this cap
-  /// Max unacked frames in flight per link before send() blocks.
-  std::size_t window = 64;
   /// A peer silent for this long (no data/ack/heartbeat/bye) is declared
   /// dead.  Must exceed the longest compute gap between a peer's transport
   /// calls — a worker crunching a huge batch does not heartbeat.
@@ -155,9 +148,10 @@ enum class FailurePolicy {
   kEvict,
 };
 
-/// Transport-layer event counters aggregated across all endpoints of a
-/// session (injected faults + recovery work).  Excluded from bit-identity
-/// comparisons: faults may only change wall-clock and these counters.
+/// Transport-layer event counters (injected faults + recovery work): one
+/// endpoint's from runtime::Endpoint::counters(), and a whole session's in
+/// SessionResult::fault_counters.  Excluded from bit-identity comparisons:
+/// faults may only change wall-clock and these counters.
 struct FaultCounters {
   std::uint64_t drops = 0;
   std::uint64_t delays = 0;
@@ -166,6 +160,17 @@ struct FaultCounters {
   std::uint64_t corruptions = 0;
   std::uint64_t retransmits = 0;  ///< reliable-layer retransmissions
   std::uint64_t reconnects = 0;   ///< socket links re-established
+
+  FaultCounters& operator+=(const FaultCounters& o) {
+    drops += o.drops;
+    delays += o.delays;
+    duplicates += o.duplicates;
+    reorders += o.reorders;
+    corruptions += o.corruptions;
+    retransmits += o.retransmits;
+    reconnects += o.reconnects;
+    return *this;
+  }
 
   /// Faults injected by the fault plan (not recovery work).
   [[nodiscard]] std::uint64_t total_injected() const {
@@ -243,8 +248,7 @@ struct SessionConfig {
   FailurePolicy on_worker_failure = FailurePolicy::kFailFast;
   /// Session watchdog: the whole session (rendezvous included) must finish
   /// within this many seconds or every transport call fails with a
-  /// descriptive CheckError instead of hanging.  0 = use the
-  /// SIDCO_SESSION_DEADLINE environment variable if set, else no deadline.
+  /// descriptive CheckError instead of hanging.  0 = no deadline.
   double deadline_seconds = 0.0;
 };
 

@@ -7,8 +7,9 @@
 //  - PsServer (the parameter server's canonical parameters, optimizer and
 //    eval head; round apply and pull charges): the simulated
 //    run_parameter_server and the real engines' topo::run_ps_server.
-//  - decoded_mean: CollectiveRound, PsServer and the real engines' allgather
-//    worker (topo::run_collective_worker).
+//  - The round's decode-mean is comm::decoded_mean (comm/aggregate.h):
+//    CollectiveRound, PsServer and the real engines' allgather worker
+//    (topo::run_collective_worker) all reduce through it.
 //  - eval_due / evaluate / append_eval: CollectiveRound, PsServer and the
 //    real engines' allgather worker (which evaluates) and coordinator (which
 //    records).
@@ -125,14 +126,6 @@ double common_compression_seconds(const SessionConfig& config,
 
 std::size_t ceil_div(std::size_t a, std::size_t b);
 
-/// Decode-accumulates the round's encoded payloads at 1/n in worker order
-/// into `accumulator` and returns the mean (a view into it) — bit-identical
-/// to tensor::aggregate_mean of the decoded gradients.  The only place a
-/// driver reduces encoded payloads.
-std::span<const float> decoded_mean(
-    comm::SparseAccumulator& accumulator,
-    std::span<const std::span<const std::uint8_t>> payloads, std::size_t dim);
-
 /// Whether an eval follows iteration `iter` (0-based): every `eval_every`
 /// iterations, and always after the last one — each iteration at most once.
 bool eval_due(const SessionConfig& config, std::size_t iter);
@@ -185,11 +178,12 @@ class CollectiveRound {
 /// Fills final_loss / final_quality from the last eval record.
 void finalize_result(SessionResult& result);
 
-/// One worker's part of a parameter-server round, engine-neutral: its step
-/// scalars, its modeled speed-scaled compression seconds
-/// (common_compression_seconds x worker scale), and the applied rounds its
-/// parameters missed.
+/// One worker's part of a parameter-server round, engine-neutral: the
+/// worker's id (which picks its speed scale), its step scalars, its modeled
+/// speed-scaled compression seconds (common_compression_seconds x worker
+/// scale), and the applied rounds its parameters missed.
 struct PsPartScalars {
+  std::size_t worker = 0;
   StepScalars step;
   double compression_seconds = 0.0;
   std::size_t staleness = 0;

@@ -54,31 +54,4 @@ void SgdOptimizer::step(std::span<float> params, std::span<const float> grad) {
   }
 }
 
-LearningRateSchedule::LearningRateSchedule(double base_lr,
-                                           std::size_t warmup_iterations,
-                                           std::size_t decay_every,
-                                           double decay_factor)
-    : base_lr_(base_lr),
-      warmup_(warmup_iterations),
-      decay_every_(decay_every),
-      decay_factor_(decay_factor) {
-  util::check(base_lr > 0.0, "base lr must be positive");
-  util::check(decay_factor > 0.0 && decay_factor <= 1.0,
-              "decay factor must be in (0, 1]");
-}
-
-double LearningRateSchedule::at(std::size_t iteration) const {
-  if (warmup_ > 0 && iteration < warmup_) {
-    // Linear ramp from base/10 to base.
-    const double frac =
-        static_cast<double>(iteration + 1) / static_cast<double>(warmup_);
-    return base_lr_ * (0.1 + 0.9 * frac);
-  }
-  if (decay_every_ == 0) return base_lr_;
-  const std::size_t decays = (iteration - warmup_) / decay_every_;
-  double lr = base_lr_;
-  for (std::size_t i = 0; i < decays; ++i) lr *= decay_factor_;
-  return lr;
-}
-
 }  // namespace sidco::nn

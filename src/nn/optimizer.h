@@ -41,19 +41,4 @@ class SgdOptimizer {
   std::vector<float> scratch_;
 };
 
-/// Warm-up then multiplicative decay schedule (paper: 5 warm-up epochs).
-class LearningRateSchedule {
- public:
-  LearningRateSchedule(double base_lr, std::size_t warmup_iterations,
-                       std::size_t decay_every = 0, double decay_factor = 1.0);
-
-  [[nodiscard]] double at(std::size_t iteration) const;
-
- private:
-  double base_lr_;
-  std::size_t warmup_;
-  std::size_t decay_every_;
-  double decay_factor_;
-};
-
 }  // namespace sidco::nn

@@ -25,6 +25,10 @@ double unit_draw(std::uint64_t h) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
+/// A delayed message is released after this many subsequent sends on its
+/// link (a reorder holds for one).
+constexpr std::size_t kDelaySlots = 2;
+
 }  // namespace
 
 FaultPlan::FaultPlan(const dist::FaultInjectionConfig& config,
@@ -76,7 +80,7 @@ FaultDecision FaultPlan::decide(std::size_t from, std::size_t to,
   }
   edge += config_.delay;
   if (u < edge) {
-    d.hold = config_.delay_slots;
+    d.hold = kDelaySlots;
     return d;
   }
   edge += config_.reorder;
@@ -146,10 +150,6 @@ bool FaultInjectingEndpoint::send(std::size_t to, TransportMessage message) {
   return release_due(to, index);
 }
 
-std::optional<TransportMessage> FaultInjectingEndpoint::recv() {
-  return inner_.recv();
-}
-
 std::optional<TransportMessage> FaultInjectingEndpoint::recv_for(
     std::chrono::milliseconds timeout, bool& timed_out) {
   return inner_.recv_for(timeout, timed_out);
@@ -179,21 +179,10 @@ bool FaultInjectingEndpoint::is_shut_down() const {
   return inner_.is_shut_down();
 }
 
-TransportCounters FaultInjectingEndpoint::counters() const {
-  TransportCounters total = counters_;
+dist::FaultCounters FaultInjectingEndpoint::counters() const {
+  dist::FaultCounters total = counters_;
   total += inner_.counters();
   return total;
-}
-
-void add_transport_counters(dist::FaultCounters& totals,
-                            const TransportCounters& c) {
-  totals.drops += c.drops;
-  totals.delays += c.delays;
-  totals.duplicates += c.duplicates;
-  totals.reorders += c.reorders;
-  totals.corruptions += c.corruptions;
-  totals.retransmits += c.retransmits;
-  totals.reconnects += c.reconnects;
 }
 
 void maybe_kill_self(const dist::FaultInjectionConfig& config,

@@ -22,10 +22,11 @@
 //
 // so faults hit the reliable layer's envelopes, acks and heartbeats exactly
 // as a lossy wire would, and the reliable layer earns its keep by repairing
-// them.  "Delay" and "reorder" are expressed in *slots*, not seconds: a held
-// message is released after `hold` subsequent sends on the same link (or at
-// flush()), which keeps the schedule deterministic and the tests fast — a
-// slot reorder exercises the same receiver logic as a 100 ms one.
+// them.  "Delay" and "reorder" are expressed in *slots*, not seconds: a
+// delayed message is released after two subsequent sends on the same link, a
+// reordered one after one (or at flush()), which keeps the schedule
+// deterministic and the tests fast — a slot reorder exercises the same
+// receiver logic as a 100 ms one.
 #pragma once
 
 #include <cstddef>
@@ -77,7 +78,6 @@ class FaultInjectingEndpoint final : public Endpoint {
                          std::size_t self, std::size_t endpoints);
 
   bool send(std::size_t to, TransportMessage message) override;
-  std::optional<TransportMessage> recv() override;
   std::optional<TransportMessage> recv_for(std::chrono::milliseconds timeout,
                                            bool& timed_out) override;
 
@@ -91,7 +91,7 @@ class FaultInjectingEndpoint final : public Endpoint {
 
   /// This decorator's injection counters plus everything the inner endpoint
   /// counted (retransmits, reconnects, ...).
-  [[nodiscard]] TransportCounters counters() const override;
+  [[nodiscard]] dist::FaultCounters counters() const override;
 
  private:
   struct Held {
@@ -108,14 +108,8 @@ class FaultInjectingEndpoint final : public Endpoint {
   std::size_t self_;
   std::vector<std::uint64_t> link_index_;  ///< sends so far, per destination
   std::vector<std::deque<Held>> held_;     ///< held messages, per destination
-  TransportCounters counters_;
+  dist::FaultCounters counters_;
 };
-
-/// Accumulates one endpoint's transport counters into a session-level total
-/// (used by the engines for their own endpoint; workers ship theirs inside
-/// the kDone frame).
-void add_transport_counters(dist::FaultCounters& totals,
-                            const TransportCounters& c);
 
 /// Worker-crash chaos knob: SIGKILLs the calling process when this worker is
 /// configured to die at this round.  Called at the top of every worker round

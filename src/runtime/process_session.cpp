@@ -19,7 +19,6 @@
 #include "dist/session_detail.h"
 #include "dist/worker.h"
 #include "nn/zoo.h"
-#include "runtime/fault.h"
 #include "runtime/reliable.h"
 #include "runtime/socket_transport.h"
 #include "runtime/topology.h"
@@ -209,7 +208,7 @@ SessionResult run_session_processes(const SessionConfig& config) {
                                        measured);
     }
     endpoint.flush();  // reliable drain + bye fence, then queued tail frames
-    add_transport_counters(result.fault_counters, endpoint.counters());
+    result.fault_counters += endpoint.counters();
   } catch (const topo::AbortedError&) {
     aborted = true;
   } catch (...) {

@@ -1,7 +1,6 @@
 #include "runtime/reliable.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <utility>
@@ -68,11 +67,6 @@ ReliableParams reliable_params_from(const dist::SessionConfig& config,
   ReliableParams p;
   p.self = self;
   p.endpoints = config.workers + 1;
-  p.max_retries = r.max_retries;
-  p.backoff_initial =
-      std::chrono::duration<double, std::milli>(r.backoff_initial_ms);
-  p.backoff_max = std::chrono::duration<double, std::milli>(r.backoff_max_ms);
-  p.window = r.window;
   p.silence_timeout = std::chrono::milliseconds(
       static_cast<std::int64_t>(r.silence_timeout_seconds * 1000.0));
   p.heartbeat_interval = std::chrono::milliseconds(
@@ -101,21 +95,6 @@ void DecoratedEndpoint::wrap(const dist::SessionConfig& config, std::size_t id,
         *endpoint_, reliable_params_from(config, id, deliver_peer_death));
     endpoint_ = reliable_.get();
   }
-}
-
-std::optional<std::chrono::steady_clock::time_point> session_deadline(
-    const dist::SessionConfig& config) {
-  double seconds = config.deadline_seconds;
-  if (seconds <= 0.0) {
-    if (const char* env = std::getenv("SIDCO_SESSION_DEADLINE")) {
-      char* end = nullptr;
-      const double parsed = std::strtod(env, &end);
-      if (end != env && parsed > 0.0) seconds = parsed;
-    }
-  }
-  if (seconds <= 0.0) return std::nullopt;
-  return std::chrono::steady_clock::now() +
-         std::chrono::milliseconds(static_cast<std::int64_t>(seconds * 1000.0));
 }
 
 ReliableEndpoint::ReliableEndpoint(Endpoint& inner,
@@ -166,20 +145,22 @@ void ReliableEndpoint::touch(std::size_t peer) {
 
 bool ReliableEndpoint::inner_send(std::size_t peer, TransportMessage frame) {
   if (inner_.send(peer, std::move(frame))) return true;
-  if (inner_.is_shut_down()) return false;
-  // The link (not the transport) failed.  One reconnect attempt per closure;
-  // a data frame is in the outstanding window either way, so a successful
-  // reconnect re-sends it with the rest of the window.
-  PeerState& p = peers_[peer];
-  if (!p.dead && !p.reconnect_tried) {
-    p.reconnect_tried = true;
-    if (inner_.reconnect(peer)) {
-      relinked(peer);
-    } else if (!lingering_) {
-      peer_dead(peer, "link lost and reconnect failed");
-    }
-  }
+  // The link (not the transport) failed.  A data frame is in the
+  // outstanding window either way, so a successful reconnect re-sends it
+  // with the rest of the window.
+  if (!inner_.is_shut_down()) link_lost(peer);
   return false;
+}
+
+void ReliableEndpoint::link_lost(std::size_t peer) {
+  PeerState& p = peers_[peer];
+  if (p.dead || p.reconnect_tried) return;  // one attempt per closure
+  p.reconnect_tried = true;
+  if (inner_.reconnect(peer)) {
+    relinked(peer);
+  } else {
+    peer_dead(peer, "link lost and reconnect failed");
+  }
 }
 
 void ReliableEndpoint::relinked(std::size_t peer) {
@@ -234,17 +215,6 @@ bool ReliableEndpoint::send(std::size_t to, TransportMessage message) {
   // acks its peers promptly.
   pump(std::chrono::milliseconds(0));
   return !inner_.is_shut_down();
-}
-
-std::optional<TransportMessage> ReliableEndpoint::recv() {
-  for (;;) {
-    if (!ready_.empty()) {
-      TransportMessage m = std::move(ready_.front());
-      ready_.pop_front();
-      return m;
-    }
-    if (!pump(kServiceSlice) && ready_.empty()) return std::nullopt;
-  }
 }
 
 std::optional<TransportMessage> ReliableEndpoint::recv_for(
@@ -444,14 +414,7 @@ void ReliableEndpoint::check_links(Clock::time_point now) {
     if (!p.active || p.dead) continue;
     if (p.byed_in && p.byed_out) continue;  // link is winding down cleanly
     if (inner_.link_state(i) == LinkState::kClosed) {
-      if (!p.reconnect_tried) {
-        p.reconnect_tried = true;
-        if (inner_.reconnect(i)) {
-          relinked(i);
-        } else {
-          peer_dead(i, "link lost and reconnect failed");
-        }
-      }
+      link_lost(i);
       continue;
     }
     if (now - p.last_heard > params_.silence_timeout) {
@@ -474,7 +437,9 @@ void ReliableEndpoint::run_timers() {
       send_beacon(i, comm::kHeartbeatKind);
     }
   }
-  check_links(now);
+  // A shut-down transport is the cooperative abort, not a dead link: every
+  // in-memory link reads closed then, and recv() reports end of stream.
+  if (!inner_.is_shut_down()) check_links(now);
 }
 
 bool ReliableEndpoint::linger_settled(const PeerState& p,
@@ -502,8 +467,10 @@ void ReliableEndpoint::flush() {
   }
 
   // Phase 2: bye + linger.  Stay on re-acking duty until every active peer
-  // has certified (bye) or demonstrated (EOF / silence) that it is done
-  // retransmitting at us.
+  // has certified (bye) or demonstrated (closed link / silence) that it is
+  // done retransmitting at us.  The bye goes again to every live peer, also
+  // to one whose own bye already arrived: ours may have been lost, and that
+  // peer may still be lingering on it.
   lingering_ = true;
   auto last_bye = Clock::time_point{};  // epoch: send immediately
   for (;;) {
@@ -518,7 +485,7 @@ void ReliableEndpoint::flush() {
       last_bye = now;
       for (std::size_t i = 0; i < peers_.size(); ++i) {
         PeerState& p = peers_[i];
-        if (i == params_.self || !p.active || p.dead || p.byed_in) continue;
+        if (i == params_.self || !p.active || p.dead) continue;
         if (inner_.link_state(i) == LinkState::kClosed) continue;
         p.byed_out = true;
         send_beacon(i, comm::kByeKind);
@@ -547,8 +514,8 @@ LinkState ReliableEndpoint::link_state(std::size_t peer) const {
 
 bool ReliableEndpoint::is_shut_down() const { return inner_.is_shut_down(); }
 
-TransportCounters ReliableEndpoint::counters() const {
-  TransportCounters total = counters_;
+dist::FaultCounters ReliableEndpoint::counters() const {
+  dist::FaultCounters total = counters_;
   total += inner_.counters();
   return total;
 }

@@ -15,7 +15,7 @@
 //    whose header seq is a per-link reliable sequence number (rseq).  The
 //    envelope stays in an outstanding window until the peer acks it
 //    (kReliableAckKind, seq = rseq); unacked envelopes are retransmitted on
-//    an exponential backoff (ReliabilityConfig) until acked or the retry
+//    an exponential backoff (ReliableParams) until acked or the retry
 //    budget ends.  rseq starts within a few values of 2^64 so every session
 //    exercises wraparound; all comparisons go through comm::seq_less (serial
 //    number arithmetic).
@@ -29,11 +29,11 @@
 //  - Clean shutdown (the tail-ack problem): flush() first drains the
 //    outstanding window, then fences the link with a bye frame
 //    (comm::kByeKind) and lingers — re-acking duplicate data and re-sending
-//    the bye — until every active peer has byed back, closed its link, or
-//    gone silent.  A peer's bye certifies "everything I sent you is acked",
-//    so a lingering endpoint never abandons a peer that is still
-//    retransmitting.  Departure during linger is clean by construction: both
-//    sides' data was acked before either sent its bye.
+//    the bye to every live peer — until every active peer has byed back,
+//    closed its link, or gone silent.  A peer's bye certifies "everything I
+//    sent you is acked", so a lingering endpoint never abandons a peer that
+//    is still retransmitting.  Departure during linger is clean by
+//    construction: both sides' data was acked before either sent its bye.
 //
 // Peer death is surfaced per FailurePolicy: fail-fast throws util::CheckError
 // naming the peer ("remote worker N failed: ..."); in evict mode (the
@@ -62,7 +62,8 @@ namespace sidco::runtime {
 /// (evict) mode.  `from` is the dead peer; the body is empty.
 inline constexpr std::uint8_t kPeerDeadKind = 0xEE;
 
-/// Everything the reliable layer needs, resolved from the session config.
+/// Everything the reliable layer needs.  The session config sets the
+/// liveness windows; retries, backoff and window are these constants.
 struct ReliableParams {
   std::size_t self = 0;
   std::size_t endpoints = 0;
@@ -84,19 +85,11 @@ struct ReliableParams {
 /// message faults or a link cut.
 [[nodiscard]] bool reliable_enabled(const dist::SessionConfig& config);
 
-/// The session watchdog deadline for `config`: config.deadline_seconds when
-/// set, else the SIDCO_SESSION_DEADLINE environment variable (seconds), else
-/// nullopt.  Engines arm Transport::set_deadline with it before starting
-/// participants.
-[[nodiscard]] std::optional<std::chrono::steady_clock::time_point>
-session_deadline(const dist::SessionConfig& config);
-
 class ReliableEndpoint final : public Endpoint {
  public:
   ReliableEndpoint(Endpoint& inner, const ReliableParams& params);
 
   bool send(std::size_t to, TransportMessage message) override;
-  std::optional<TransportMessage> recv() override;
   std::optional<TransportMessage> recv_for(std::chrono::milliseconds timeout,
                                            bool& timed_out) override;
 
@@ -109,7 +102,7 @@ class ReliableEndpoint final : public Endpoint {
 
   /// Retransmit/reconnect counters of this layer plus everything beneath it
   /// (the fault injector's injection counts when one is stacked).
-  [[nodiscard]] TransportCounters counters() const override;
+  [[nodiscard]] dist::FaultCounters counters() const override;
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -154,6 +147,9 @@ class ReliableEndpoint final : public Endpoint {
   void send_ack(std::size_t peer, std::uint64_t rseq);
   void send_beacon(std::size_t peer, std::uint8_t kind);
   bool inner_send(std::size_t peer, TransportMessage frame);
+  /// One reconnect attempt per closure of the link to `peer`; when it fails
+  /// the peer is dead (a clean departure while lingering).
+  void link_lost(std::size_t peer);
   void relinked(std::size_t peer);
   void touch(std::size_t peer);
   void peer_dead(std::size_t peer, const std::string& why);
@@ -165,7 +161,7 @@ class ReliableEndpoint final : public Endpoint {
   ReliableParams params_;
   std::vector<PeerState> peers_;
   std::deque<TransportMessage> ready_;  ///< in-order deliveries awaiting recv
-  TransportCounters counters_;
+  dist::FaultCounters counters_;
   bool lingering_ = false;  ///< inside flush(): peer death is clean, not fatal
 };
 

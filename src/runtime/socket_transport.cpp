@@ -66,15 +66,6 @@ using Clock = std::chrono::steady_clock;
   util::check_fail(what + ": " + std::strerror(errno));
 }
 
-void check_deadline(const std::optional<Clock::time_point>& deadline,
-                    const char* where) {
-  if (deadline && Clock::now() >= *deadline) {
-    util::check_fail(std::string("session watchdog deadline exceeded (") +
-                     where + " blocked past "
-                     "SessionConfig::deadline_seconds)");
-  }
-}
-
 void close_fd(int& fd) {
   if (fd >= 0) {
     ::close(fd);
@@ -149,14 +140,14 @@ void send_hello(int fd, std::size_t self) {
 }
 
 /// Reads and validates the peer's hello, returning its endpoint id.
-std::size_t read_hello(int fd, std::size_t endpoint_count,
+std::size_t read_hello(int fd, std::size_t endpoints,
                        const std::optional<Clock::time_point>& deadline) {
   std::uint8_t buf[comm::kFrameHeaderBytes];
   read_exact(fd, buf, sizeof(buf), deadline);
   const comm::FrameHeader h = comm::decode_frame_header(buf);
   util::check(h.kind == kHelloKind && h.body_len == 0,
               "socket transport: malformed handshake hello");
-  util::check(h.from < endpoint_count,
+  util::check(h.from < endpoints,
               "socket transport: hello from an unknown endpoint id");
   return h.from;
 }
@@ -339,15 +330,6 @@ class SocketTransport::SocketEndpoint final : public Endpoint {
     return !shutdown_ && peer.fd >= 0;
   }
 
-  std::optional<TransportMessage> recv() override {
-    for (;;) {
-      bool timed_out = false;
-      std::optional<TransportMessage> m =
-          recv_for(std::chrono::milliseconds(kPumpSliceMs), timed_out);
-      if (!timed_out) return m;
-    }
-  }
-
   std::optional<TransportMessage> recv_for(std::chrono::milliseconds timeout,
                                            bool& timed_out) override {
     timed_out = false;
@@ -403,7 +385,7 @@ class SocketTransport::SocketEndpoint final : public Endpoint {
 
   [[nodiscard]] bool is_shut_down() const override { return shutdown_; }
 
-  [[nodiscard]] TransportCounters counters() const override {
+  [[nodiscard]] dist::FaultCounters counters() const override {
     return counters_;
   }
 
@@ -775,7 +757,7 @@ class SocketTransport::SocketEndpoint final : public Endpoint {
   bool shutdown_ = false;
   std::vector<Peer> peers_;
   std::deque<TransportMessage> ready_;
-  TransportCounters counters_;
+  dist::FaultCounters counters_;
   // pump()'s poll set, kept across calls so a pump allocates nothing.
   std::vector<struct pollfd> poll_fds_;
   std::vector<std::size_t> poll_ids_;
@@ -856,10 +838,6 @@ SocketTransport::SocketTransport(std::size_t endpoints,
 }
 
 SocketTransport::~SocketTransport() = default;
-
-std::size_t SocketTransport::endpoint_count() const {
-  return rendezvous_->listeners.size();
-}
 
 Endpoint& SocketTransport::endpoint(std::size_t id) {
   util::check(id < endpoints_.size() && endpoints_[id] != nullptr,

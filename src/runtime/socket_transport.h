@@ -1,4 +1,4 @@
-// Socket-backed Transport: the same TransportMessages as InMemoryTransport,
+// Socket-backed transport: the same TransportMessages as InMemoryTransport,
 // framed over real Unix-domain or TCP sockets (comm/frame.h) — one process
 // (or thread, in tests) per endpoint.
 //
@@ -79,7 +79,7 @@
 
 namespace sidco::runtime {
 
-class SocketTransport final : public Transport {
+class SocketTransport {
  public:
   enum class Family {
     kUnix,  ///< AF_UNIX stream sockets in a private temp directory
@@ -91,17 +91,15 @@ class SocketTransport final : public Transport {
   /// in messages, mirroring Channel capacity semantics (>= 1).
   SocketTransport(std::size_t endpoints, std::size_t send_queue_capacity,
                   Family family = Family::kUnix);
-  ~SocketTransport() override;
-
-  [[nodiscard]] std::size_t endpoint_count() const override;
+  ~SocketTransport();
 
   /// The established endpoint for `id`.  Throws util::CheckError when
   /// establish(id) has not run in this process.
-  Endpoint& endpoint(std::size_t id) override;
+  Endpoint& endpoint(std::size_t id);
 
   /// Closes every established link and listener owned by this process;
   /// blocked send()/recv() calls observe end-of-stream.
-  void shutdown() override;
+  void shutdown();
 
   /// Connects/accepts and handshakes every link of endpoint `id` (see file
   /// comment).  Call exactly once per id, from the participant that owns
@@ -120,7 +118,7 @@ class SocketTransport final : public Transport {
   /// Arms the session watchdog for every endpoint established afterwards
   /// (including the rendezvous waits themselves).  Call before forking so
   /// children inherit it.
-  void set_deadline(std::chrono::steady_clock::time_point deadline) override;
+  void set_deadline(std::chrono::steady_clock::time_point deadline);
 
   /// Enables link-recovery mode for endpoints established afterwards: EOF
   /// becomes a quiet link close (dangling partial frames are discarded, not

@@ -10,7 +10,6 @@
 
 #include "dist/session_detail.h"
 #include "dist/worker.h"
-#include "runtime/fault.h"
 #include "runtime/reliable.h"
 #include "runtime/topology.h"
 #include "runtime/transport.h"
@@ -156,7 +155,7 @@ SessionResult run_session_threads(const SessionConfig& config) {
   for (const dist::Eviction& e : result.evictions) evicted[e.worker] = true;
   errors.rethrow_if_any(evicted);
 
-  add_transport_counters(result.fault_counters, eps[n].get().counters());
+  result.fault_counters += eps[n].get().counters();
   dist::detail::finalize_result(result);
   topo::fill_measured(result, wall, measured);
   return result;

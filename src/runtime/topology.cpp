@@ -91,11 +91,11 @@ void decode_snapshot(const TransportMessage& m, std::size_t dim,
 }
 
 /// kDone body: measured seconds (two f64s) followed by the worker's
-/// transport fault/recovery counters (seven u64s, TransportCounters field
+/// transport fault/recovery counters (seven u64s, FaultCounters field
 /// order) — the only channel a forked worker has to report what its
 /// fault-injection and reliable-delivery decorators did.
 std::vector<std::uint8_t> encode_done(const MeasuredSeconds& m,
-                                      const TransportCounters& c) {
+                                      const dist::FaultCounters& c) {
   std::vector<std::uint8_t> body;
   comm::put_f64_le(body, m.compute);
   comm::put_f64_le(body, m.comm);
@@ -267,7 +267,7 @@ void run_collective_worker(const SessionConfig& config, std::size_t w,
       util::check(m.seq == iter, "allgather payload from the wrong iteration");
       payloads[p] = body_of(m);
     }
-    worker.apply_update(dist::detail::decoded_mean(accumulator, payloads, dim));
+    worker.apply_update(comm::decoded_mean(accumulator, payloads, dim));
     for (std::size_t p = 0; p < n; ++p) {
       if (p != w) stash[p].pop_front();
     }
@@ -529,6 +529,7 @@ void run_ps_server(const SessionConfig& config,
       // server-side from the reported stats (the worker never sees the
       // timing context).
       part_scalars[k] = {
+          .worker = w,
           .step = p.step,
           .compression_seconds =
               worker_scale(config, w) *

@@ -66,8 +66,8 @@ void fill_measured(dist::SessionResult& result, const util::Timer& wall,
 
 /// Allgather worker `w`: lock-step broadcast of the encoded payload to every
 /// peer, collect all N payloads, reduce them through the shared
-/// dist::detail::decoded_mean (worker order 0..N-1, so every replica
-/// computes a bit-identical mean), report step scalars (worker 0: plus
+/// comm::decoded_mean (worker order 0..N-1, so every replica computes a
+/// bit-identical mean), report step scalars (worker 0: plus
 /// scheduled evals) to the coordinator.  After the last iteration worker 0
 /// ships its final parameters (kParams) and every worker its measured
 /// seconds (kDone).

@@ -1,8 +1,11 @@
 #include "runtime/transport.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <deque>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "runtime/channel.h"
@@ -14,16 +17,41 @@ namespace {
 
 /// How long a blocked send waits for inbox space before re-checking for
 /// shutdown and draining its own inbox.  Latency-insensitive: it only bounds
-/// how fast a deadlock-avoidance drain cycle spins (same constant as the
-/// pre-Transport threaded engine).
+/// how fast a deadlock-avoidance drain cycle spins.
 constexpr std::chrono::milliseconds kPushRetry{1};
 
-/// Slice for blocking pops: bounds how often a blocked recv re-checks the
-/// watchdog deadline.  Wakeups are rare (an idle endpoint ticks ~10/s) and
-/// a message arriving wakes the wait immediately regardless.
-constexpr std::chrono::milliseconds kPopSlice{100};
+/// Slice for blocking receives: bounds how often a blocked recv re-checks
+/// the watchdog deadline.  Wakeups are rare (an idle endpoint ticks ~10/s)
+/// and a message arriving wakes the wait immediately regardless.
+constexpr std::chrono::milliseconds kRecvSlice{100};
 
 }  // namespace
+
+std::optional<TransportMessage> Endpoint::recv() {
+  for (;;) {
+    bool timed_out = false;
+    std::optional<TransportMessage> m = recv_for(kRecvSlice, timed_out);
+    if (!timed_out) return m;
+  }
+}
+
+std::optional<std::chrono::steady_clock::time_point> session_deadline(
+    const dist::SessionConfig& config) {
+  if (config.deadline_seconds <= 0.0) return std::nullopt;
+  return std::chrono::steady_clock::now() +
+         std::chrono::milliseconds(
+             static_cast<std::int64_t>(config.deadline_seconds * 1000.0));
+}
+
+void check_deadline(
+    const std::optional<std::chrono::steady_clock::time_point>& deadline,
+    const char* where) {
+  if (deadline && std::chrono::steady_clock::now() >= *deadline) {
+    util::check_fail(std::string("session watchdog deadline exceeded (") +
+                     where +
+                     " blocked past SessionConfig::deadline_seconds)");
+  }
+}
 
 class InMemoryTransport::InMemoryEndpoint final : public Endpoint {
  public:
@@ -40,20 +68,12 @@ class InMemoryTransport::InMemoryEndpoint final : public Endpoint {
     // differential suite sweeps capacity 1).
     while (!dst.try_push_for(message, kPushRetry)) {
       if (dst.closed()) return false;
-      check_deadline();
+      check_deadline(deadline_, "in-memory send");
       while (std::optional<TransportMessage> m = inbox_.try_pop()) {
         pending_.push_back(std::move(*m));
       }
     }
     return true;
-  }
-
-  std::optional<TransportMessage> recv() override {
-    for (;;) {
-      bool timed_out = false;
-      std::optional<TransportMessage> m = recv_for(kPopSlice, timed_out);
-      if (!timed_out) return m;
-    }
   }
 
   std::optional<TransportMessage> recv_for(std::chrono::milliseconds timeout,
@@ -64,25 +84,31 @@ class InMemoryTransport::InMemoryEndpoint final : public Endpoint {
       pending_.pop_front();
       return m;
     }
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    const auto give_up = std::chrono::steady_clock::now() + timeout;
     for (;;) {
-      check_deadline();
-      auto slice = kPopSlice;
+      check_deadline(deadline_, "in-memory recv");
       const auto now = std::chrono::steady_clock::now();
-      if (now >= deadline) {
+      if (now >= give_up) {
         timed_out = true;
         return std::nullopt;
       }
       const auto remaining =
-          std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
-                                                                now);
-      if (remaining < slice) slice = remaining;
+          std::chrono::duration_cast<std::chrono::milliseconds>(give_up - now);
       bool closed_and_drained = false;
-      std::optional<TransportMessage> m =
-          inbox_.try_pop_for(slice, closed_and_drained);
+      std::optional<TransportMessage> m = inbox_.try_pop_for(
+          std::min(remaining, kRecvSlice), closed_and_drained);
       if (m) return m;
       if (closed_and_drained) return std::nullopt;
     }
+  }
+
+  /// A peer whose inbox is closed has gone quiet for good (its owner
+  /// finished, or the transport shut down).
+  [[nodiscard]] LinkState link_state(std::size_t peer) const override {
+    util::check(peer < owner_.endpoints_.size(),
+                "transport: unknown peer");
+    return owner_.endpoints_[peer]->inbox_.closed() ? LinkState::kClosed
+                                                    : LinkState::kOpen;
   }
 
   [[nodiscard]] bool is_shut_down() const override {
@@ -96,15 +122,6 @@ class InMemoryTransport::InMemoryEndpoint final : public Endpoint {
   }
 
  private:
-  void check_deadline() const {
-    if (deadline_ &&
-        std::chrono::steady_clock::now() >= *deadline_) {
-      util::check_fail(
-          "session watchdog deadline exceeded (in-memory transport blocked "
-          "past SessionConfig::deadline_seconds)");
-    }
-  }
-
   InMemoryTransport& owner_;
   Channel<TransportMessage> inbox_;
   // Messages drained from the inbox while a send was blocked, served before
@@ -125,10 +142,6 @@ InMemoryTransport::InMemoryTransport(std::size_t endpoints,
 }
 
 InMemoryTransport::~InMemoryTransport() = default;
-
-std::size_t InMemoryTransport::endpoint_count() const {
-  return endpoints_.size();
-}
 
 Endpoint& InMemoryTransport::endpoint(std::size_t id) {
   util::check(id < endpoints_.size(), "transport: unknown endpoint id");

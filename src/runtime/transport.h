@@ -1,32 +1,19 @@
-// Pluggable point-to-point transport for the real (non-simulated) execution
-// engines.
+// Point-to-point transport for the real (non-simulated) execution engines.
 //
-// PR 5 proved the threaded runtime directly on bounded channels; this
-// interface extracts the one capability the topology code actually uses —
-// "blocking send to an endpoint, blocking receive from my endpoint, shared
-// shutdown" — so the same allgather / parameter-server protocol bodies
-// (runtime/topology.h) run unchanged over two very different fabrics:
+// The topology code (runtime/topology.h) needs one capability — "blocking
+// send to an endpoint, blocking receive from my endpoint" — so the same
+// allgather / parameter-server protocol bodies run unchanged over two very
+// different fabrics, each an Endpoint implementation:
 //
 //  - InMemoryTransport: one bounded Channel<TransportMessage> per endpoint
-//    (runtime/channel.h).  This is the PR 5 machinery verbatim, including
-//    its deadlock-avoidance rule: a sender blocked on a full peer inbox
-//    keeps draining its *own* inbox into a pending stash, so a ring of
+//    (runtime/channel.h).  A sender blocked on a full peer inbox keeps
+//    draining its *own* inbox into a pending stash, so a ring of
 //    mutually-full capacity-1 inboxes still makes progress.
 //  - SocketTransport (socket_transport.h): the same messages framed over
 //    Unix-domain or TCP sockets, one process per endpoint.
 //
-// Contract shared by all implementations:
-//  - An Endpoint is single-owner: exactly one thread (or process) calls its
-//    send()/recv().  Different endpoints of one transport are used
-//    concurrently — that is the point.
-//  - send() blocks until the message is accepted (bounded queues provide
-//    backpressure) and returns false only when the transport has shut down;
-//    the message is dropped in that case.
-//  - recv() blocks for the next message addressed to this endpoint, in
-//    per-sender FIFO order (messages from different senders interleave
-//    arbitrarily).  nullopt means shut down and drained — end of stream.
-//  - shutdown() is the cooperative abort: it wakes every blocked send/recv
-//    on every endpoint.  Messages already accepted remain receivable.
+// The chaos decorators (runtime/fault.h, runtime/reliable.h) are Endpoints
+// too, stacked over either fabric.
 #pragma once
 
 #include <chrono>
@@ -35,6 +22,8 @@
 #include <memory>
 #include <optional>
 #include <vector>
+
+#include "dist/session.h"
 
 namespace sidco::runtime {
 
@@ -58,53 +47,48 @@ struct TransportMessage {
   }
 };
 
-/// Health of one directed link as this endpoint sees it.  In-memory links
-/// are always kOpen (a channel cannot fail); socket links close on EOF /
-/// reset and may be re-established by reconnect().
+/// Health of one directed link as this endpoint sees it.  A link closes when
+/// the peer is gone: its in-memory inbox closed, or its socket hit EOF /
+/// reset (socket links may be re-established by reconnect()).
 enum class LinkState {
   kOpen,
-  kReconnecting,  ///< a reconnect() is in flight
   kClosed,
 };
 
-/// Per-endpoint transport event counters (injected faults and recovery
-/// work).  Decorators compose: counters() on the outermost decorator sums
-/// its own events with everything underneath.  Field semantics match
-/// dist::FaultCounters, which aggregates these across a whole session.
-struct TransportCounters {
-  std::uint64_t drops = 0;
-  std::uint64_t delays = 0;
-  std::uint64_t duplicates = 0;
-  std::uint64_t reorders = 0;
-  std::uint64_t corruptions = 0;
-  std::uint64_t retransmits = 0;
-  std::uint64_t reconnects = 0;
-
-  TransportCounters& operator+=(const TransportCounters& o) {
-    drops += o.drops;
-    delays += o.delays;
-    duplicates += o.duplicates;
-    reorders += o.reorders;
-    corruptions += o.corruptions;
-    retransmits += o.retransmits;
-    reconnects += o.reconnects;
-    return *this;
-  }
-};
-
-/// One participant's view of the transport.  Single-owner (see file
-/// comment); never shared between threads.
+/// One participant's view of the transport.
+///
+/// Contract shared by every implementation:
+///  - An Endpoint is single-owner: exactly one thread (or process) calls its
+///    send()/recv().  Different endpoints of one transport are used
+///    concurrently — that is the point.
+///  - send() blocks until the message is accepted (bounded queues provide
+///    backpressure) and returns false only when the transport has shut down
+///    or the link is gone; the message is dropped in that case.
+///  - recv_for() is the one receive a fabric (or decorator) implements: it
+///    waits at most `timeout` for the next message addressed to this
+///    endpoint, in per-sender FIFO order (messages from different senders
+///    interleave arbitrarily).  recv() is a loop over it.
+///  - The owning transport's shutdown() is the cooperative abort: it wakes
+///    every blocked send/recv on every endpoint.  Messages already accepted
+///    remain receivable.
+///  - The fabrics' timed waits honor the session watchdog (check_deadline).
 class Endpoint {
  public:
   virtual ~Endpoint() = default;
 
-  /// Blocking send to endpoint `to`.  False = transport shut down (message
-  /// dropped); the caller should abort its protocol loop.
+  /// Blocking send to endpoint `to`.  False = transport shut down or link
+  /// gone (message dropped); the caller should abort its protocol loop.
   virtual bool send(std::size_t to, TransportMessage message) = 0;
 
-  /// Blocking receive.  nullopt = transport shut down and every delivered
-  /// message consumed.
-  virtual std::optional<TransportMessage> recv() = 0;
+  /// Receive that gives up after `timeout`: nullopt with `timed_out` true.
+  /// Otherwise `timed_out` is false, and nullopt means shut down and every
+  /// delivered message consumed — end of stream.
+  virtual std::optional<TransportMessage> recv_for(
+      std::chrono::milliseconds timeout, bool& timed_out) = 0;
+
+  /// Blocking receive: recv_for in 100 ms slices until a message or end of
+  /// stream (nullopt).
+  std::optional<TransportMessage> recv();
 
   /// Blocks until every message accepted by send() has actually left this
   /// endpoint.  A buffering transport may return from send() with frames
@@ -115,21 +99,8 @@ class Endpoint {
   /// them.  No-op for transports that deliver synchronously (in-memory).
   virtual void flush() {}
 
-  /// recv() that gives up after `timeout`.  On timeout: nullopt with
-  /// `timed_out` true.  Otherwise identical to recv() (`timed_out` false;
-  /// nullopt still means shut down and drained).  The base transports
-  /// implement this for real; the default ignores the timeout — decorators
-  /// that need timed waits (reliable retransmission) require a base that
-  /// supports it.
-  virtual std::optional<TransportMessage> recv_for(
-      std::chrono::milliseconds timeout, bool& timed_out) {
-    (void)timeout;
-    timed_out = false;
-    return recv();
-  }
-
-  /// Health of the directed link to `peer`.  Always kOpen for fabrics whose
-  /// links cannot fail (in-memory channels).
+  /// Health of the directed link to `peer`.  The default is for decorators
+  /// that do not track links.
   [[nodiscard]] virtual LinkState link_state(std::size_t peer) const {
     (void)peer;
     return LinkState::kOpen;
@@ -148,53 +119,50 @@ class Endpoint {
   /// send() == false / recv() == nullopt.
   [[nodiscard]] virtual bool is_shut_down() const { return false; }
 
-  /// Transport event counters accumulated by this endpoint (decorators sum
-  /// in everything they wrap).  Plain transports report zeros.
-  [[nodiscard]] virtual TransportCounters counters() const { return {}; }
+  /// Fault and recovery events counted by this endpoint.  Decorators sum in
+  /// everything they wrap; plain fabrics count only reconnects.
+  [[nodiscard]] virtual dist::FaultCounters counters() const { return {}; }
 };
 
-/// Owner of all endpoints of one session.
-class Transport {
- public:
-  virtual ~Transport() = default;
+/// The session watchdog deadline for `config`: now + config.deadline_seconds
+/// when that is set, else nullopt.  Engines arm their transport's
+/// set_deadline with it before starting participants.
+[[nodiscard]] std::optional<std::chrono::steady_clock::time_point>
+session_deadline(const dist::SessionConfig& config);
 
-  [[nodiscard]] virtual std::size_t endpoint_count() const = 0;
+/// The watchdog's one check, called by every timed wait of both fabrics:
+/// fails with a util::CheckError naming `where` once `deadline` has passed;
+/// no-op without a deadline.
+void check_deadline(
+    const std::optional<std::chrono::steady_clock::time_point>& deadline,
+    const char* where);
+
+/// The bounded-channel fabric.  Each endpoint's inbox is a
+/// Channel<TransportMessage> of `capacity` messages
+/// (SessionConfig::channel_capacity) — any capacity >= 1 is deadlock-free
+/// and numerics-invariant.
+class InMemoryTransport {
+ public:
+  InMemoryTransport(std::size_t endpoints, std::size_t capacity);
+  ~InMemoryTransport();
 
   /// The endpoint for participant `id` (workers 0..n-1 plus the
   /// coordinator/server as the last id, by topology convention).
-  virtual Endpoint& endpoint(std::size_t id) = 0;
+  Endpoint& endpoint(std::size_t id);
 
-  /// Cooperative abort/teardown; idempotent.  See file comment.
-  virtual void shutdown() = 0;
+  /// Cooperative abort/teardown: closes every inbox; idempotent.
+  void shutdown();
 
-  /// Arms the session watchdog: once `deadline` passes, every blocking
-  /// transport call on every endpoint fails with a descriptive
-  /// util::CheckError instead of waiting forever.  Set before handing
-  /// endpoints to participants (pre-thread, pre-fork).  Default: no-op for
-  /// transports without blocking waits.
-  virtual void set_deadline(std::chrono::steady_clock::time_point deadline) {
-    (void)deadline;
-  }
-};
-
-/// The PR 5 bounded-channel fabric behind the Transport interface.  Each
-/// endpoint's inbox is a Channel<TransportMessage> of `capacity` messages
-/// (SessionConfig::channel_capacity) — any capacity >= 1 is deadlock-free
-/// and numerics-invariant, exactly as before the refactor.
-class InMemoryTransport final : public Transport {
- public:
-  InMemoryTransport(std::size_t endpoints, std::size_t capacity);
-  ~InMemoryTransport() override;
-
-  [[nodiscard]] std::size_t endpoint_count() const override;
-  Endpoint& endpoint(std::size_t id) override;
-  void shutdown() override;
   /// Closes one endpoint's inbox: sends to it fail fast instead of blocking
-  /// on a full channel nobody drains.  An endpoint must close itself when
-  /// its owner goes quiet for good — the in-memory analog of a process
-  /// exiting and its sockets going EPIPE.
+  /// on a full channel nobody drains, and its peers see the link closed.  An
+  /// endpoint must close itself when its owner goes quiet for good — the
+  /// in-memory analog of a process exiting and its sockets going EPIPE.
   void close_endpoint(std::size_t id);
-  void set_deadline(std::chrono::steady_clock::time_point deadline) override;
+
+  /// Arms the session watchdog: once `deadline` passes, every blocking call
+  /// on every endpoint fails with a descriptive util::CheckError instead of
+  /// waiting forever.  Set before handing endpoints to participants.
+  void set_deadline(std::chrono::steady_clock::time_point deadline);
 
  private:
   class InMemoryEndpoint;

@@ -30,6 +30,7 @@
 
 #include "dist/scenario.h"
 #include "dist/session.h"
+#include "dist/session_detail.h"
 #include "util/check.h"
 
 namespace sidco {
@@ -304,30 +305,56 @@ TEST(ChaosDifferential, PartitionFailFastStructuredError) {
 }
 
 // The same partition under the evict policy: the server evicts worker 1,
-// renormalizes over the survivor, and the session *completes* with the
-// eviction on the record.
+// renormalizes over the survivors, and the session *completes* with the
+// eviction on the record.  The second input adds a third worker four times
+// slower than the others: every round's modeled compute is that straggler's,
+// after the eviction as before it, because each part's speed scale is taken
+// by its worker id, not by its position among the survivors.
 TEST(ChaosDifferential, PartitionEvictRecordedAndSessionCompletes) {
+  struct Input {
+    const char* name;
+    std::size_t workers;
+    std::vector<double> worker_time_scale;
+  };
+  const std::vector<Input> inputs = {
+      {"2 workers", kWorkers, {}},
+      {"3 workers, worker 2 4x slower", 3, {1.0, 1.0, 4.0}}};
   for (dist::Engine engine :
        {dist::Engine::kThreads, dist::Engine::kSockets}) {
-    SCOPED_TRACE(engine == dist::Engine::kThreads ? "threads" : "sockets");
-    dist::SessionConfig config =
-        base_config(dist::Topology::kParameterServer);
-    config.engine = engine;
-    config.iterations = 4;
-    arm_fast_detection(config);
-    config.on_worker_failure = dist::FailurePolicy::kEvict;
-    config.fault.partition_worker = 1;
-    config.fault.partition_after = 2;
-    const dist::SessionResult r = dist::run_session(config);
-    ASSERT_EQ(r.evictions.size(), 1U);
-    EXPECT_EQ(r.evictions[0].worker, 1U);
-    ASSERT_EQ(r.iterations.size(), config.iterations);
-    for (const dist::IterationRecord& it : r.iterations) {
-      EXPECT_TRUE(std::isfinite(it.train_loss));
-    }
-    ASSERT_GT(r.final_parameters.size(), 0U);
-    for (std::size_t i = 0; i < r.final_parameters.size(); i += 1000) {
-      EXPECT_TRUE(std::isfinite(r.final_parameters[i]));
+    for (const Input& input : inputs) {
+      SCOPED_TRACE(std::string(engine == dist::Engine::kThreads ? "threads"
+                                                                : "sockets") +
+                   ", " + input.name);
+      dist::SessionConfig config =
+          base_config(dist::Topology::kParameterServer);
+      config.engine = engine;
+      config.workers = input.workers;
+      config.worker_time_scale = input.worker_time_scale;
+      config.iterations = 4;
+      arm_fast_detection(config);
+      config.on_worker_failure = dist::FailurePolicy::kEvict;
+      config.fault.partition_worker = 1;
+      config.fault.partition_after = 2;
+      const dist::SessionResult r = dist::run_session(config);
+      ASSERT_EQ(r.evictions.size(), 1U);
+      EXPECT_EQ(r.evictions[0].worker, 1U);
+      ASSERT_EQ(r.iterations.size(), config.iterations);
+      for (const dist::IterationRecord& it : r.iterations) {
+        EXPECT_TRUE(std::isfinite(it.train_loss));
+      }
+      ASSERT_GT(r.final_parameters.size(), 0U);
+      for (std::size_t i = 0; i < r.final_parameters.size(); i += 1000) {
+        EXPECT_TRUE(std::isfinite(r.final_parameters[i]));
+      }
+      if (!input.worker_time_scale.empty()) {
+        const double straggler =
+            4.0 * dist::detail::make_timing(config, r.gradient_dimension)
+                      .base_compute;
+        for (std::size_t round = 0; round < r.iterations.size(); ++round) {
+          EXPECT_EQ(r.iterations[round].compute_seconds, straggler)
+              << "round " << round;
+        }
+      }
     }
   }
 }
@@ -379,22 +406,6 @@ TEST(ChaosDifferential, WatchdogDeadlineBreaksWedgedSession) {
   config.fault.kill_round = 0;  // dies before its first push
   config.deadline_seconds = 4.0;
   expect_structured_error(config, "deadline");
-}
-
-TEST(ChaosDifferential, WatchdogDeadlineFromEnvironment) {
-  dist::SessionConfig config = base_config(dist::Topology::kParameterServer);
-  config.engine = dist::Engine::kSockets;
-  config.fault.kill_worker = 1;
-  config.fault.kill_round = 0;
-  config.deadline_seconds = 0.0;  // unset: the env var must take over
-  ASSERT_EQ(::setenv("SIDCO_SESSION_DEADLINE", "4", 1), 0);
-  try {
-    expect_structured_error(config, "deadline");
-  } catch (...) {
-    ::unsetenv("SIDCO_SESSION_DEADLINE");
-    throw;
-  }
-  ::unsetenv("SIDCO_SESSION_DEADLINE");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 // Learning sanity: single-process SGD on the synthetic tasks must reduce the
 // loss and beat chance accuracy; optimizer mechanics (momentum, Nesterov,
-// clipping, schedule) behave as specified.
+// clipping) behave as specified.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -137,21 +137,6 @@ TEST(Optimizer, RejectsBadConfig) {
   config.learning_rate = 0.1;
   config.nesterov = true;  // without momentum
   EXPECT_THROW(nn::SgdOptimizer{config}, util::CheckError);
-}
-
-TEST(Schedule, WarmupRampsThenHolds) {
-  const nn::LearningRateSchedule schedule(1.0, 10);
-  EXPECT_LT(schedule.at(0), 0.25);
-  EXPECT_NEAR(schedule.at(9), 1.0, 1e-9);
-  EXPECT_NEAR(schedule.at(100), 1.0, 1e-9);
-}
-
-TEST(Schedule, DecaySteps) {
-  const nn::LearningRateSchedule schedule(1.0, 0, /*decay_every=*/10,
-                                          /*decay_factor=*/0.5);
-  EXPECT_NEAR(schedule.at(5), 1.0, 1e-12);
-  EXPECT_NEAR(schedule.at(10), 0.5, 1e-12);
-  EXPECT_NEAR(schedule.at(25), 0.25, 1e-12);
 }
 
 TEST(Loss, PerfectPredictionHasLowLossAndFullAccuracy) {

@@ -1,18 +1,21 @@
 // Sparse collective aggregation over encoded wire payloads.
 //
-// Contract under test: allgather-sum and PS-side accumulate, operating on
-// *decoded* comm-codec payloads, produce a mean that is bit-identical to the
-// dense reference mean (tensor::aggregate_mean) of the original gradients —
-// for real compressor outputs (3 schemes x error feedback on/off, multi-step
-// residual simulation), for crafted overlapping-index merges, and for the
+// Contract under test: the drivers' decode-mean (comm::decoded_mean) and
+// PS-side accumulate, operating on *decoded* comm-codec payloads, produce a
+// mean that is bit-identical to the dense reference mean
+// (tensor::aggregate_mean) of the original gradients — for real compressor
+// outputs (3 schemes x error feedback on/off, multi-step residual
+// simulation), for crafted overlapping-index merges, and for the
 // all-workers-disjoint case.  Hostile payloads (unsorted / duplicate /
-// out-of-range indices) are rejected with CheckError, never silently
-// mis-summed.
+// out-of-range indices) and a round with no payload are rejected with
+// CheckError, never silently mis-summed.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <random>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "comm/aggregate.h"
@@ -40,6 +43,18 @@ void expect_bits_equal(std::span<const float> got,
               std::bit_cast<std::uint32_t>(want[i]))
         << "element " << i;
   }
+}
+
+/// The round mean of `encoded` through comm::decoded_mean, copied out of the
+/// accumulator.
+std::vector<float> round_mean(
+    const std::vector<std::vector<std::uint8_t>>& encoded, std::size_t dim) {
+  const std::vector<std::span<const std::uint8_t>> payloads(encoded.begin(),
+                                                            encoded.end());
+  comm::SparseAccumulator accumulator;
+  const std::span<const float> mean =
+      comm::decoded_mean(accumulator, payloads, dim);
+  return {mean.begin(), mean.end()};
 }
 
 /// Runs `workers` compressor instances over `steps` EC-simulated iterations
@@ -83,9 +98,8 @@ void run_scheme_aggregation(core::Scheme scheme, bool error_feedback) {
     const std::vector<float> reference = tensor::aggregate_mean(
         parts, kDim, static_cast<double>(kWorkers));
 
-    // Allgather-sum: one call over all encoded payloads.
-    const std::vector<float> gathered = comm::allgather_mean(
-        encoded, kDim, static_cast<double>(kWorkers));
+    // The drivers' decode-mean: one call over all encoded payloads.
+    const std::vector<float> gathered = round_mean(encoded, kDim);
     expect_bits_equal(gathered, reference);
 
     // PS-side accumulate: payloads arrive one by one, in worker order.
@@ -125,7 +139,7 @@ TEST(SparseAggregation, OverlappingIndexMerge) {
   }
   const std::vector<float> reference =
       tensor::aggregate_mean(parts, kDim, 3.0);
-  const std::vector<float> gathered = comm::allgather_mean(encoded, kDim, 3.0);
+  const std::vector<float> gathered = round_mean(encoded, kDim);
   expect_bits_equal(gathered, reference);
 
   // Spot-check the merge itself.
@@ -153,8 +167,7 @@ TEST(SparseAggregation, AllWorkersDisjoint) {
   }
   const std::vector<float> reference =
       tensor::aggregate_mean(parts, kDim, static_cast<double>(kWorkers));
-  const std::vector<float> gathered = comm::allgather_mean(
-      encoded, kDim, static_cast<double>(kWorkers));
+  const std::vector<float> gathered = round_mean(encoded, kDim);
   expect_bits_equal(gathered, reference);
   const auto scale = static_cast<float>(1.0 / kWorkers);
   for (std::size_t i = 0; i < kDim; ++i) {
@@ -184,7 +197,7 @@ TEST(SparseAggregation, DenseAndSparsePayloadsMix) {
   const std::vector<tensor::SparseGradient> parts = {full, partial};
   const std::vector<float> reference =
       tensor::aggregate_mean(parts, kDim, 2.0);
-  const std::vector<float> gathered = comm::allgather_mean(encoded, kDim, 2.0);
+  const std::vector<float> gathered = round_mean(encoded, kDim);
   expect_bits_equal(gathered, reference);
 }
 
@@ -233,6 +246,16 @@ TEST(SparseAggregation, HostilePartsAreRejectedNotMisSummed) {
   comm::encode_dense(eleven, comm::ValueMode::kFp32, dense_buffer);
   EXPECT_THROW(accumulator.accumulate_encoded(dense_buffer, 1.0F),
                util::CheckError);
+
+  // A round with no payload has no mean; it must not come back as zeros.
+  try {
+    (void)comm::decoded_mean(accumulator, {}, 10);
+    ADD_FAILURE() << "an empty round produced a mean";
+  } catch (const util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("at least one payload"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SparseAggregation, SteadyStateAccumulatorReusesStorage) {

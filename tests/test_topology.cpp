@@ -7,6 +7,7 @@
 // under ASan/UBSan in CI (labels `unit;runtime`).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -135,8 +136,9 @@ class ParamsBodySwap final : public runtime::Endpoint {
     return inner_.send(to, std::move(message));
   }
 
-  std::optional<runtime::TransportMessage> recv() override {
-    return inner_.recv();
+  std::optional<runtime::TransportMessage> recv_for(
+      std::chrono::milliseconds timeout, bool& timed_out) override {
+    return inner_.recv_for(timeout, timed_out);
   }
 
  private:

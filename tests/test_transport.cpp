@@ -4,11 +4,12 @@
 // decoding, socket mesh round-trips over both address families, the socket
 // framing (frames split at every byte offset, staged and directly read
 // bodies back to back, payload ownership while queued, whole-frame kernel
-// send buffers), and fault injection against a live socket endpoint —
+// send buffers), fault injection against a live socket endpoint —
 // truncated frame mid-stream, peer closing during the handshake, oversized
 // or hostile frame headers — all of which must fail fast with descriptive
-// CheckErrors, never hang.  Runs under ASan/UBSan and TSan in CI (labels
-// `unit;runtime`).
+// CheckErrors, never hang — and the reliable layer's teardown when bye frames
+// are lost, which must not wait out the silence window.  Runs under
+// ASan/UBSan and TSan in CI (labels `unit;runtime`).
 #include <gtest/gtest.h>
 
 #include <linux/sockios.h>
@@ -23,6 +24,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <memory>
 #include <optional>
@@ -903,6 +905,127 @@ TEST(ReliableEndpoint, ExactlyOnceInOrderOverAHeavilyFaultedFabric) {
   std::thread peer([&] { run_side(1); });
   run_side(0);
   peer.join();
+}
+
+// ---------------------------------------------------------------------------
+// Reliable teardown: a lost bye must not hold flush() for the silence window.
+// ---------------------------------------------------------------------------
+
+/// Which bye frames to drop: (sender, receiver, how many byes the sender has
+/// already sent that receiver).
+using ByeDropRule = std::function<bool(std::size_t from, std::size_t to,
+                                       std::size_t nth)>;
+
+/// Drops the bye frames its rule picks before they reach the fabric; every
+/// other call passes straight through, except that with `report_links`
+/// false every link reads open, so a departed peer shows only as a failed
+/// send.  Sits under a ReliableEndpoint, where the fault injector would.
+class ByeDropper final : public Endpoint {
+ public:
+  ByeDropper(Endpoint& inner, std::size_t self, std::size_t endpoints,
+             ByeDropRule drop, bool report_links)
+      : inner_(inner), self_(self), byes_(endpoints, 0),
+        drop_(std::move(drop)), report_links_(report_links) {}
+
+  bool send(std::size_t to, TransportMessage message) override {
+    if (message.kind == comm::kByeKind && drop_(self_, to, byes_[to]++)) {
+      return true;  // lost on the wire
+    }
+    return inner_.send(to, std::move(message));
+  }
+
+  std::optional<TransportMessage> recv_for(std::chrono::milliseconds timeout,
+                                           bool& timed_out) override {
+    return inner_.recv_for(timeout, timed_out);
+  }
+
+  [[nodiscard]] runtime::LinkState link_state(std::size_t peer) const override {
+    return report_links_ ? inner_.link_state(peer) : runtime::LinkState::kOpen;
+  }
+
+  [[nodiscard]] bool is_shut_down() const override {
+    return inner_.is_shut_down();
+  }
+
+ private:
+  Endpoint& inner_;
+  std::size_t self_;
+  std::vector<std::size_t> byes_;  ///< byes sent so far, per receiver
+  ByeDropRule drop_;
+  bool report_links_;
+};
+
+/// A silence window far longer than any clean teardown: a flush that waits
+/// it out shows as a 20-s stall.
+constexpr std::chrono::milliseconds kTeardownSilence{20000};
+
+/// One thread per endpoint of an in-memory mesh, each behind
+/// reliable -> ByeDropper -> fabric: every endpoint sends one message to
+/// every peer and receives one from each, then flushes and closes its
+/// endpoint, as the threads engine does.  Returns each flush's duration.
+std::vector<std::chrono::milliseconds> timed_flushes(
+    std::size_t endpoints, const ByeDropRule& drop, bool report_links = true) {
+  InMemoryTransport transport(endpoints, 8);
+  std::vector<std::chrono::milliseconds> took(endpoints);
+  const auto run_side = [&](std::size_t self) {
+    ByeDropper dropper(transport.endpoint(self), self, endpoints, drop,
+                       report_links);
+    ReliableParams params = test_reliable_params(self);
+    params.endpoints = endpoints;
+    params.silence_timeout = kTeardownSilence;
+    ReliableEndpoint ep(dropper, params);
+    for (std::size_t peer = 0; peer < endpoints; ++peer) {
+      if (peer == self) continue;
+      EXPECT_TRUE(ep.send(
+          peer, {.kind = 1, .from = self, .seq = 0, .payload = bytes({7})}));
+    }
+    for (std::size_t got = 0; got + 1 < endpoints; ++got) {
+      EXPECT_TRUE(ep.recv().has_value());
+    }
+    const auto start = std::chrono::steady_clock::now();
+    ep.flush();
+    took[self] = std::chrono::duration_cast<std::chrono::milliseconds>(
+        std::chrono::steady_clock::now() - start);
+    transport.close_endpoint(self);
+  };
+  std::vector<std::thread> peers;
+  for (std::size_t id = 1; id < endpoints; ++id) {
+    peers.emplace_back(run_side, id);
+  }
+  run_side(0);
+  for (std::thread& t : peers) t.join();
+  return took;
+}
+
+void expect_prompt_flushes(const std::vector<std::chrono::milliseconds>& took) {
+  for (std::size_t id = 0; id < took.size(); ++id) {
+    EXPECT_LT(took[id], kTeardownSilence / 4)
+        << "endpoint " << id << "'s flush waited out the silence window";
+  }
+}
+
+TEST(ReliableEndpoint, LostByesInARingDoNotStallFlush) {
+  // Each of three endpoints loses its first bye to its predecessor.  Every
+  // endpoint then holds one peer's bye and waits on the other's: a cycle
+  // that only a bye re-sent to a peer that already byed can break.
+  expect_prompt_flushes(timed_flushes(
+      3, [](std::size_t from, std::size_t to, std::size_t nth) {
+        return to == (from + 2) % 3 && nth == 0;
+      }));
+}
+
+TEST(ReliableEndpoint, PeerThatNeverByesIsReleasedWhenItLeaves) {
+  // Endpoint 0 loses every bye it sends, so endpoint 1 learns that 0 has
+  // flushed and closed its endpoint only from the fabric: from the closed
+  // link, or, with links hidden, from its next heartbeat failing to send.
+  // Either must settle the peer, not a wait for silence.
+  for (bool report_links : {true, false}) {
+    SCOPED_TRACE(report_links ? "closed link reported" : "closed link hidden");
+    expect_prompt_flushes(timed_flushes(
+        2,
+        [](std::size_t from, std::size_t, std::size_t) { return from == 0; },
+        report_links));
+  }
 }
 
 // ---------------------------------------------------------------------------
