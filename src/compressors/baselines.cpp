@@ -239,18 +239,4 @@ void RandomK::do_compress_into(std::span<const float> gradient,
   }
 }
 
-// -------------------------------------------------------------- HardThreshold
-
-HardThreshold::HardThreshold(double target_ratio, double threshold)
-    : Compressor(target_ratio), threshold_(threshold) {
-  util::check(threshold >= 0.0, "hard threshold must be non-negative");
-}
-
-void HardThreshold::do_compress_into(std::span<const float> gradient,
-                                     CompressResult& out) {
-  out.threshold = threshold_;
-  tensor::extract_at_least(gradient, static_cast<float>(threshold_),
-                           workspace_, out.sparse);
-}
-
 }  // namespace sidco::compressors

@@ -10,7 +10,7 @@
 //  - GaussianKSgd: (Shi et al. 2019) initial threshold from a Gaussian fit,
 //                  refined by a fixed number of multiplicative adjustments.
 //  - RandomK:      uniform random support (convergence baseline).
-//  - HardThreshold / NoCompression: plumbing baselines.
+//  - NoCompression: plumbing baseline.
 //
 // Every scheme owns a tensor::Workspace (and scheme-specific buffers) so that
 // steady-state compress_into() calls are allocation-free.
@@ -103,18 +103,6 @@ class RandomK final : public Compressor {
   /// std::vector<bool> allocation).
   std::vector<std::uint32_t> used_stamp_;
   std::uint32_t epoch_ = 0;
-};
-
-class HardThreshold final : public Compressor {
- public:
-  HardThreshold(double target_ratio, double threshold);
-  [[nodiscard]] std::string_view name() const override { return "HardThr"; }
-
- private:
-  void do_compress_into(std::span<const float> gradient,
-                        CompressResult& out) override;
-  double threshold_;
-  tensor::Workspace workspace_;
 };
 
 }  // namespace sidco::compressors

@@ -168,9 +168,8 @@ std::string format_g(double value, int precision = 9) {
   return buf;
 }
 
-/// Statically replays a churn schedule against the spec's worker and
-/// iteration counts so an infeasible schedule fails at parse time with the
-/// offending term, not mid-fleet.
+}  // namespace
+
 void validate_churn_feasibility(const ChurnSchedule& churn,
                                 std::size_t workers, std::size_t iterations) {
   std::size_t active = workers;
@@ -205,8 +204,6 @@ void validate_churn_feasibility(const ChurnSchedule& churn,
     }
   }
 }
-
-}  // namespace
 
 Engine parse_engine(const std::string& token) {
   if (token == "simulated") return Engine::kSimulated;

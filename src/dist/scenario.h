@@ -90,6 +90,14 @@ struct ChurnSchedule {
 /// spec's worker/iteration counts is validated by parse_matrix_spec.
 ChurnSchedule parse_churn_schedule(const std::string& token);
 
+/// Statically replays `churn` against a tenant of `workers` workers and
+/// `iterations` rounds, so an infeasible schedule (an event past the last
+/// round, a leave that would empty the tenant, a rejoin without a departed
+/// worker) fails before training with a util::CheckError that names the
+/// schedule.  parse_matrix_spec and sched::run_fleet call it.
+void validate_churn_feasibility(const ChurnSchedule& churn,
+                                std::size_t workers, std::size_t iterations);
+
 /// What a joining worker's error-feedback residual starts from (`handoff =
 /// zero | warm`): all zeros, or the most recently parked (departed) residual
 /// when one exists — rejoining workers warm-start from their own.

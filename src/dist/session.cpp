@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "comm/aggregate.h"
@@ -446,16 +448,110 @@ PsServer::PsServer(const SessionConfig& config, const TimingContext& timing,
       // batches; overwritten with the canonical copy before each eval.
       eval_head_(config.benchmark, config.seed, eval_head_stream_seed(config),
                  core::Scheme::kNone, 1.0, false, initial),
-      pull_bytes_of_round_(config.iterations, 0) {
+      pull_bytes_of_round_(config.iterations, 0),
+      parts_(config.iterations * config.workers),
+      staged_(config.iterations, 0),
+      pulled_(config.workers, 0),
+      evicted_(config.workers, false),
+      alive_(config.workers) {
   result.staleness_histogram.assign(config.staleness_bound + 1, 0);
   result.iterations.resize(config.iterations);
 }
 
-IterationRecord& PsServer::apply_round(
-    std::size_t r, std::span<const std::span<const std::uint8_t>> payloads,
-    std::span<const PsPartScalars> parts, SessionResult& result) {
+std::span<PsServer::Part> PsServer::round_parts(std::size_t r) {
+  return std::span(parts_).subspan(r * config_.workers, config_.workers);
+}
+
+bool PsServer::admits(std::size_t r) const {
+  return version_ + config_.staleness_bound >= r;
+}
+
+std::optional<std::size_t> PsServer::pull(std::size_t w,
+                                          SessionResult& result) {
+  if (pulled_[w] == version_) return std::nullopt;
+  std::size_t bytes = 0;
+  for (std::size_t r = pulled_[w]; r < version_; ++r) {
+    bytes += pull_bytes_of_round_[r];
+  }
+  pulled_[w] = version_;
+  if (config_.workers > 1) {
+    // One pull ships the missed round updates; a dense system would ship
+    // the parameter vector once.
+    result.total_wire_bytes += bytes;
+    result.total_dense_equiv_bytes += NetworkModel::dense_bytes(timing_.dim);
+  }
+  return bytes;
+}
+
+double PsServer::stage(std::size_t w, std::size_t r, const StepScalars& step,
+                       std::shared_ptr<const std::vector<std::uint8_t>> body,
+                       std::size_t offset) {
+  const auto reject = [&](const char* why) {
+    util::check_fail("parameter server: out-of-protocol push (worker " +
+                     std::to_string(w) + ", round " + std::to_string(r) +
+                     ", applied version " + std::to_string(version_) +
+                     "): " + why);
+  };
+  if (evicted_[w]) reject("worker was evicted");
+  if (r >= config_.iterations) reject("past the last round");
+  if (r < version_) reject("round already applied");
+  // r >= version_ >= pulled_[w]: admission bounds what the worker missed.
+  if (r - pulled_[w] > config_.staleness_bound) {
+    reject("beyond the staleness bound");
+  }
+  Part& part = round_parts(r)[w];
+  if (part.body) reject("duplicate");
+
+  // Per-part modeled compression: the shared engine dispatch evaluated at
+  // this part's stage count / measured latency, on this worker's speed.
+  const double scale = worker_scale(config_, w);
+  const double compression = common_compression_seconds(
+      config_, timing_, step.stages_used, step.measured_compression);
+  part = {.body = std::move(body),
+          .offset = offset,
+          .step = step,
+          .compression_seconds = scale * compression,
+          .staleness = r - pulled_[w]};
+  staged_[r] += 1;
+  return scale * (timing_.base_compute + compression);
+}
+
+bool PsServer::ready() const {
+  return version_ < config_.iterations && staged_[version_] == alive_;
+}
+
+IterationRecord& PsServer::apply_next(SessionResult& result) {
+  util::check(ready(),
+              "parameter server: round applied before every live worker's "
+              "part was staged");
+  const std::size_t r = version_;
+  const std::size_t n = staged_[r];
+  const std::span<Part> parts = round_parts(r);
+  IterationRecord& record = result.iterations[r];
+  payloads_.clear();
+  double nnz = 0.0;
+  double max_compression = 0.0;
+  int stages = 1;
+  double max_scale = 0.0;
+  for (std::size_t w = 0; w < config_.workers; ++w) {
+    const Part& p = parts[w];
+    if (!p.body) continue;  // evicted before completing r
+    payloads_.push_back(
+        std::span<const std::uint8_t>(*p.body).subspan(p.offset));
+    record.train_loss += p.step.train_loss;
+    record.train_accuracy += p.step.train_accuracy;
+    nnz += static_cast<double>(p.step.nnz);
+    max_compression = std::max(max_compression, p.compression_seconds);
+    stages = std::max(stages, p.step.stages_used);
+    result.staleness_histogram[p.staleness] += 1;
+    max_scale = std::max(max_scale, worker_scale(config_, w));
+    if (n > 1) record.wire_bytes += p.step.wire_bytes;
+  }
+
+  // The mean is over the staged parts, so survivor re-normalization after
+  // an eviction is automatic.
   const std::span<const float> mean =
-      comm::decoded_mean(accumulator_, payloads, timing_.dim);
+      comm::decoded_mean(accumulator_, payloads_, timing_.dim);
   // Serialize the round's mean update as it would be pulled: the union of
   // worker supports densifies, and the measured payload — not an analytic
   // nnz estimate — is what pulls pay for.
@@ -463,23 +559,8 @@ IterationRecord& PsServer::apply_round(
       mean, comm::ValueMode::kFp32, update_scratch_, update_encoded_);
   optimizer_.step(params_, mean);
   version_ = r + 1;
+  std::fill(parts.begin(), parts.end(), Part{});  // releases the payloads
 
-  IterationRecord& record = result.iterations[r];
-  const std::size_t n = parts.size();
-  double nnz = 0.0;
-  double max_compression = 0.0;
-  int stages = 1;
-  double max_scale = 0.0;
-  for (const PsPartScalars& p : parts) {
-    record.train_loss += p.step.train_loss;
-    record.train_accuracy += p.step.train_accuracy;
-    nnz += static_cast<double>(p.step.nnz);
-    max_compression = std::max(max_compression, p.compression_seconds);
-    stages = std::max(stages, p.step.stages_used);
-    result.staleness_histogram[p.staleness] += 1;
-    max_scale = std::max(max_scale, worker_scale(config_, p.worker));
-    if (n > 1) record.wire_bytes += p.step.wire_bytes;
-  }
   const auto nd = static_cast<double>(n);
   record.train_loss /= nd;
   record.train_accuracy /= nd;
@@ -500,19 +581,20 @@ IterationRecord& PsServer::apply_round(
   return record;
 }
 
-std::size_t PsServer::charge_pull(std::size_t since,
-                                  SessionResult& result) const {
-  std::size_t bytes = 0;
-  for (std::size_t r = since; r < version_; ++r) {
-    bytes += pull_bytes_of_round_[r];
+bool PsServer::evict(std::size_t w, SessionResult& result) {
+  if (evicted_[w]) return false;
+  evicted_[w] = true;
+  --alive_;
+  util::check(alive_ > 0,
+              "parameter server: every worker failed; nothing left to train");
+  result.evictions.push_back({.worker = w, .round = version_});
+  for (std::size_t r = version_; r < config_.iterations; ++r) {
+    Part& part = round_parts(r)[w];
+    if (!part.body) continue;
+    part = {};
+    staged_[r] -= 1;
   }
-  if (config_.workers > 1) {
-    // One pull ships the missed round updates; a dense system would ship
-    // the parameter vector once.
-    result.total_wire_bytes += bytes;
-    result.total_dense_equiv_bytes += NetworkModel::dense_bytes(timing_.dim);
-  }
-  return bytes;
+  return true;
 }
 
 }  // namespace detail
@@ -564,20 +646,10 @@ SessionResult run_allreduce(const SessionConfig& config) {
 }
 
 // ---------------------------------------------------------------------------
-// Bounded-staleness parameter-server driver (fully event-driven).
+// Bounded-staleness parameter-server driver (fully event-driven).  The round
+// lives in PsServer; this driver keeps its clock: the event queue, the
+// server NIC, workers parked on admission and push arrivals.
 // ---------------------------------------------------------------------------
-
-/// One worker's contribution to a round, staged until the round aggregates.
-struct RoundPart {
-  PsPartScalars scalars;
-  std::vector<std::uint8_t> encoded;  ///< the wire payload actually pushed
-};
-
-struct RoundBucket {
-  std::vector<RoundPart> parts;
-  std::size_t arrived = 0;
-};
-
 SessionResult run_parameter_server(const SessionConfig& config) {
   const nn::BenchmarkSpec& spec = nn::benchmark_spec(config.benchmark);
   std::vector<std::unique_ptr<Worker>> workers = make_workers(config);
@@ -590,7 +662,6 @@ SessionResult run_parameter_server(const SessionConfig& config) {
 
   const std::size_t n = config.workers;
   const std::size_t rounds = config.iterations;
-  const std::size_t slack = config.staleness_bound;
 
   // The replicas all start bit-identical, so the server copy is worker 0's
   // initial parameters (the s == 0 degeneracy to the synchronous session
@@ -605,56 +676,39 @@ SessionResult run_parameter_server(const SessionConfig& config) {
                 timing.network.link_latency_seconds());
   const bool wired = n > 1;
 
-  std::vector<RoundBucket> buckets(rounds);
-  for (auto& b : buckets) b.parts.resize(n);
-  std::vector<double> apply_time(rounds, 0.0);
-  std::vector<std::span<const std::uint8_t>> payload_spans(n);
-  std::vector<PsPartScalars> part_scalars(n);
-
-  std::vector<std::size_t> worker_version(n, 0);  // version last pulled
-  std::vector<bool> blocked(n, false);
-  std::vector<std::size_t> blocked_round(n, 0);
+  std::vector<std::size_t> arrived(rounds, 0);  // pushes received, per round
+  std::vector<std::size_t> push_bytes(n, 0);    // each worker's latest push
+  std::vector<std::size_t> parked(n, rounds);   // round awaiting admission
+  double applied_at = 0.0;
 
   // Runs the real forward/backward/compress step for (w, round) at simulated
-  // time `now`, stages the gradient into the round bucket, and schedules the
-  // step-completion event.
+  // time `now`, stages the part (its staleness is fixed here, before w can
+  // pull again), and schedules the step-completion event.
   const auto compute = [&](std::size_t w, std::size_t round, double now) {
     WorkerStepResult step = workers[w]->step(spec.batch_size);
-    // Per-part modeled compression: the shared engine dispatch evaluated at
-    // this part's stage count / measured latency.  The real PS engines price
-    // their parts through the exact same helper.
-    const double compression = common_compression_seconds(
-        config, timing, step.stages_used, step.measured_compression_seconds);
-    const double scale = worker_scale(config, w);
-    buckets[round].parts[w] = {
-        .scalars = {.worker = w,
-                    .step = step_scalars(step),
-                    .compression_seconds = scale * compression,
-                    .staleness = round - worker_version[w]},
-        .encoded = std::move(step.encoded)};
-    queue.push(now + scale * (timing.base_compute + compression), w,
-               EventKind::kStepDone, round);
+    push_bytes[w] = step.wire_bytes;
+    const double produce = server.stage(
+        w, round, step_scalars(step),
+        std::make_shared<const std::vector<std::uint8_t>>(
+            std::move(step.encoded)));
+    queue.push(now + produce, w, EventKind::kStepDone, round);
   };
 
-  // Moves worker w to `round`: blocks on the staleness guard, pulls fresh
-  // parameters when the server has moved on, then computes.
+  // Moves worker w to `round`: parks until admitted, pulls fresh parameters
+  // when the server has moved on, then computes.
   const auto start_round = [&](std::size_t w, std::size_t round, double now) {
     if (round >= rounds) return;  // this worker is done
-    const std::size_t version = server.version();
-    if (version + slack < round) {
-      blocked[w] = true;
-      blocked_round[w] = round;
+    if (!server.admits(round)) {
+      parked[w] = round;
       return;
     }
-    if (worker_version[w] < version) {
-      const std::size_t bytes = server.charge_pull(worker_version[w], result);
+    if (const std::optional<std::size_t> bytes = server.pull(w, result)) {
       // Snapshot semantics: the transfer carries the parameters as of pull
       // start, so the replica is overwritten now and compute begins when the
       // wire drains.
       workers[w]->overwrite_parameters(server.parameters());
-      worker_version[w] = version;
       queue.push(wired ? link.transfer(
-                             now, payload_timing_bytes(bytes, dim,
+                             now, payload_timing_bytes(*bytes, dim,
                                                        timing.timing_dim))
                        : now,
                  w, EventKind::kPullDone, round);
@@ -663,31 +717,23 @@ SessionResult run_parameter_server(const SessionConfig& config) {
     compute(w, round, now);
   };
 
-  // Applies round r (all n contributions arrived) at simulated time `now`.
-  const auto apply_round = [&](std::size_t r, double now) {
-    RoundBucket& bucket = buckets[r];
-    for (std::size_t w = 0; w < n; ++w) {
-      payload_spans[w] = bucket.parts[w].encoded;
-      part_scalars[w] = bucket.parts[w].scalars;
-    }
-    IterationRecord& record =
-        server.apply_round(r, payload_spans, part_scalars, result);
-    apply_time[r] = now;
-    record.modeled_wall_seconds = r == 0 ? now : now - apply_time[r - 1];
+  // Applies the next round (all n pushes arrived) at simulated time `now`.
+  const auto apply_next = [&](double now) {
+    IterationRecord& record = server.apply_next(result);
+    record.modeled_wall_seconds = now - applied_at;
+    applied_at = now;
     // Exposed (non-overlapped) transfer + wait time of the round.
     record.communication_seconds =
         std::max(0.0, record.modeled_wall_seconds - record.compute_seconds -
                           record.compression_seconds);
 
-    // The new version may release workers parked on the staleness guard.
+    // The new version may admit parked workers.
     for (std::size_t w = 0; w < n; ++w) {
-      if (blocked[w] && server.version() + slack >= blocked_round[w]) {
-        blocked[w] = false;
-        queue.push(now, w, EventKind::kWake, blocked_round[w]);
+      if (parked[w] < rounds && server.admits(parked[w])) {
+        queue.push(now, w, EventKind::kWake, parked[w]);
+        parked[w] = rounds;
       }
     }
-    bucket.parts.clear();
-    bucket.parts.shrink_to_fit();
   };
 
   for (std::size_t w = 0; w < n; ++w) start_round(w, 0, 0.0);
@@ -696,39 +742,35 @@ SessionResult run_parameter_server(const SessionConfig& config) {
     const SimEvent event = queue.pop();
     switch (event.kind) {
       case EventKind::kPullDone:
+        compute(event.worker, event.round, event.time);
+        break;
       case EventKind::kWake:
-        if (event.kind == EventKind::kPullDone) {
-          compute(event.worker, event.round, event.time);
-        } else {
-          start_round(event.worker, event.round, event.time);
-        }
+        start_round(event.worker, event.round, event.time);
         break;
       case EventKind::kStepDone: {
-        const RoundPart& part = buckets[event.round].parts[event.worker];
         const std::size_t bytes = payload_timing_bytes(
-            part.scalars.step.wire_bytes, dim, timing.timing_dim);
+            push_bytes[event.worker], dim, timing.timing_dim);
         queue.push(wired ? link.transfer(event.time, bytes) : event.time,
                    event.worker, EventKind::kPushArrive, event.round);
         // The device is free as soon as the NIC owns the payload.
         start_round(event.worker, event.round + 1, event.time);
         break;
       }
-      case EventKind::kPushArrive: {
-        buckets[event.round].arrived += 1;
+      case EventKind::kPushArrive:
+        arrived[event.round] += 1;
         // Per-worker pushes traverse the FIFO link in round order, so
-        // buckets complete in order and rounds apply in order.
+        // rounds complete in order and apply in order.
         while (server.version() < rounds &&
-               buckets[server.version()].arrived == n) {
-          apply_round(server.version(), event.time);
+               arrived[server.version()] == n) {
+          apply_next(event.time);
         }
         break;
-      }
     }
   }
 
   util::check(server.version() == rounds,
               "event simulation ended before all rounds were applied");
-  result.total_modeled_seconds = apply_time[rounds - 1];
+  result.total_modeled_seconds = applied_at;
   result.final_parameters = server.release_parameters();
   finalize_result(result);
   return result;

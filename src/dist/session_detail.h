@@ -5,8 +5,10 @@
 //    apply, record, byte charges, scheduled eval): the simulated
 //    run_allreduce and the fleet's sched::start_round.
 //  - PsServer (the parameter server's canonical parameters, optimizer and
-//    eval head; round apply and pull charges): the simulated
-//    run_parameter_server and the real engines' topo::run_ps_server.
+//    eval head; the part store, SSP admission, part staleness and
+//    compression seconds, round apply, eviction and pull charges): the
+//    simulated run_parameter_server and the real engines'
+//    topo::run_ps_server.
 //  - The round's decode-mean is comm::decoded_mean (comm/aggregate.h):
 //    CollectiveRound, PsServer and the real engines' allgather worker
 //    (topo::run_collective_worker) all reduce through it.
@@ -34,6 +36,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -178,22 +181,14 @@ class CollectiveRound {
 /// Fills final_loss / final_quality from the last eval record.
 void finalize_result(SessionResult& result);
 
-/// One worker's part of a parameter-server round, engine-neutral: the
-/// worker's id (which picks its speed scale), its step scalars, its modeled
-/// speed-scaled compression seconds (common_compression_seconds x worker
-/// scale), and the applied rounds its parameters missed.
-struct PsPartScalars {
-  std::size_t worker = 0;
-  StepScalars step;
-  double compression_seconds = 0.0;
-  std::size_t staleness = 0;
-};
-
 /// The parameter server every engine runs: the canonical parameters (worker
-/// 0's initial replica), one canonical optimizer, and a dedicated eval head
-/// on the workers' held-out stream.  The staleness-0 bit-identity contract
-/// rests on every update flowing through this single state.  All scratch is
-/// reused across rounds.
+/// 0's initial replica), one canonical optimizer, a dedicated eval head on
+/// the workers' held-out stream, and the part store that holds each pushed
+/// gradient until its round applies.  The staleness-0 bit-identity contract
+/// rests on every update flowing through this single state.  A driver keeps
+/// only its clock: it asks admits() before a worker computes, pull()s,
+/// stage()s each part, and apply_next()s while ready().  Worker ids are
+/// below config.workers.  All scratch is reused across rounds.
 class PsServer {
  public:
   /// Sizes `result`'s per-round records and staleness histogram.  `config`
@@ -201,21 +196,46 @@ class PsServer {
   PsServer(const SessionConfig& config, const TimingContext& timing,
            std::span<const float> initial, SessionResult& result);
 
-  /// Applies round `r`: the decoded mean of `payloads` (worker order)
-  /// through the canonical optimizer, the round's pull payload sized as it
-  /// would be pulled, its record's engine-shared fields (metric means,
-  /// ratio, modeled compute/compression, staleness bins, wired push bytes),
-  /// push and `parts.size()` dense-equivalent charges, and the eval when one
-  /// is due.  Returns the record; the engine fills communication_seconds and
-  /// modeled_wall_seconds from its own timeline.
-  IterationRecord& apply_round(
-      std::size_t r, std::span<const std::span<const std::uint8_t>> payloads,
-      std::span<const PsPartScalars> parts, SessionResult& result);
+  /// SSP admission: whether a worker may compute round `r` now, on
+  /// parameters that miss at most staleness_bound applied rounds.
+  [[nodiscard]] bool admits(std::size_t r) const;
 
-  /// Charges a pull by a worker last synced at version `since`: one message
-  /// with the encoded means of every round it missed, against one dense
-  /// parameter vector.  Returns the pulled bytes.
-  std::size_t charge_pull(std::size_t since, SessionResult& result) const;
+  /// Worker `w`'s pull before it computes.  When the server applied rounds
+  /// since w's last pull, charges one message with the encoded means of
+  /// every round w missed (against one dense parameter vector), marks w
+  /// current and returns the pulled bytes; nullopt when w is current.
+  std::optional<std::size_t> pull(std::size_t w, SessionResult& result);
+
+  /// Stages worker `w`'s part of round `r`: its step scalars and the encoded
+  /// gradient at body[offset..] (a non-null body of at least `offset`
+  /// bytes), held by reference and never copied.  The part's staleness is r
+  /// minus the version w last pulled.  Returns the part's modeled produce
+  /// seconds (compute + compression, speed-scaled).  A push from an evicted
+  /// worker, past the last round, for an applied round, beyond the
+  /// staleness bound or a duplicate is a util::CheckError.
+  double stage(std::size_t w, std::size_t r, const StepScalars& step,
+               std::shared_ptr<const std::vector<std::uint8_t>> body,
+               std::size_t offset = 0);
+
+  /// Whether the next round holds a part from every live worker.
+  [[nodiscard]] bool ready() const;
+
+  /// Applies the next round (ready() must hold) and releases its parts: the
+  /// decoded mean of its payloads (worker order) through the canonical
+  /// optimizer, the round's pull payload sized as it would be pulled, its
+  /// record's engine-shared fields (metric means, ratio, modeled
+  /// compute/compression, staleness bins, wired push bytes), push and
+  /// dense-equivalent charges, and the eval when one is due.  Returns the
+  /// record; the engine fills communication_seconds and
+  /// modeled_wall_seconds from its own timeline.
+  IterationRecord& apply_next(SessionResult& result);
+
+  /// Evicts worker `w` (FailurePolicy::kEvict): records the eviction at the
+  /// current version and strips w's parts of every unapplied round, which
+  /// then completes at the survivor count with its mean re-normalized over
+  /// the survivors.  Returns false when w was already evicted; evicting the
+  /// last live worker is a util::CheckError.
+  bool evict(std::size_t w, SessionResult& result);
 
   /// Rounds applied so far.
   [[nodiscard]] std::size_t version() const { return version_; }
@@ -225,6 +245,18 @@ class PsServer {
   }
 
  private:
+  /// One staged push; an empty slot has no body.
+  struct Part {
+    std::shared_ptr<const std::vector<std::uint8_t>> body;
+    std::size_t offset = 0;
+    StepScalars step;
+    double compression_seconds = 0.0;  ///< speed-scaled, modeled
+    std::size_t staleness = 0;
+  };
+
+  /// Round r's part slots, one per worker.
+  std::span<Part> round_parts(std::size_t r);
+
   const SessionConfig& config_;
   const TimingContext& timing_;
   std::vector<float> params_;
@@ -235,6 +267,12 @@ class PsServer {
   std::vector<std::uint8_t> update_encoded_;
   std::vector<std::size_t> pull_bytes_of_round_;
   std::size_t version_ = 0;
+  std::vector<Part> parts_;          ///< rounds x workers slots
+  std::vector<std::size_t> staged_;  ///< parts held, per round
+  std::vector<std::size_t> pulled_;  ///< version at each worker's last pull
+  std::vector<bool> evicted_;
+  std::size_t alive_;
+  std::vector<std::span<const std::uint8_t>> payloads_;
 };
 
 }  // namespace sidco::dist::detail

@@ -116,7 +116,6 @@ WorkerStepResult Worker::step(std::size_t batch_size) {
   result.selected = compressed_.sparse.nnz();
   result.train_loss = loss.loss;
   result.train_accuracy = loss.accuracy;
-  result.threshold = compressed_.threshold;
   result.stages_used = compressed_.stages_used;
   result.measured_compression_seconds = measured;
   return result;

@@ -40,7 +40,6 @@ struct WorkerStepResult {
   std::size_t selected = 0;
   double train_loss = 0.0;
   double train_accuracy = 0.0;
-  double threshold = 0.0;
   int stages_used = 1;
   /// Wall-clock seconds spent inside compress() on this process (feeds the
   /// CPU-measured device model).

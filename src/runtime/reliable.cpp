@@ -221,19 +221,22 @@ std::optional<TransportMessage> ReliableEndpoint::recv_for(
     std::chrono::milliseconds timeout, bool& timed_out) {
   timed_out = false;
   const auto give_up = Clock::now() + timeout;
-  for (;;) {
+  // One pump runs before the timeout is checked, so a zero timeout still
+  // receives what the inner endpoint holds.
+  for (bool looked = false;; looked = true) {
     if (!ready_.empty()) {
       TransportMessage m = std::move(ready_.front());
       ready_.pop_front();
       return m;
     }
     const auto now = Clock::now();
-    if (now >= give_up) {
+    if (looked && now >= give_up) {
       timed_out = true;
       return std::nullopt;
     }
-    const auto remaining =
-        std::chrono::duration_cast<std::chrono::milliseconds>(give_up - now);
+    const auto remaining = std::max(
+        std::chrono::duration_cast<std::chrono::milliseconds>(give_up - now),
+        std::chrono::milliseconds(0));
     if (!pump(std::min(remaining, kServiceSlice)) && ready_.empty()) {
       return std::nullopt;
     }

@@ -334,7 +334,9 @@ class SocketTransport::SocketEndpoint final : public Endpoint {
                                            bool& timed_out) override {
     timed_out = false;
     const auto give_up = Clock::now() + timeout;
-    for (;;) {
+    // One pump runs before the timeout is checked, so a zero timeout still
+    // polls the links once.
+    for (bool looked = false;; looked = true) {
       if (!ready_.empty()) {
         TransportMessage m = std::move(ready_.front());
         ready_.pop_front();
@@ -342,7 +344,7 @@ class SocketTransport::SocketEndpoint final : public Endpoint {
       }
       if (shutdown_ || all_links_closed()) return std::nullopt;
       const auto now = Clock::now();
-      if (now >= give_up) {
+      if (looked && now >= give_up) {
         timed_out = true;
         return std::nullopt;
       }
@@ -350,8 +352,8 @@ class SocketTransport::SocketEndpoint final : public Endpoint {
       const auto remaining =
           std::chrono::duration_cast<std::chrono::milliseconds>(give_up -
                                                                 now);
-      pump(static_cast<int>(std::min<std::int64_t>(remaining.count(),
-                                                   kPumpSliceMs)));
+      pump(static_cast<int>(std::clamp<std::int64_t>(remaining.count(), 0,
+                                                     kPumpSliceMs)));
     }
   }
 

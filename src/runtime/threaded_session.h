@@ -19,12 +19,13 @@
 //
 //  - kParameterServer: a server thread owns the canonical parameters.
 //    Workers push encoded gradients over one MPSC channel; the server
-//    buckets them per round, applies each complete round's mean (worker
-//    order, one canonical optimizer) and grants the next round to a worker
-//    only when the SSP admission `applied_version + staleness_bound >=
-//    round` holds — mirroring the simulated driver's bounded-staleness
-//    semantics.  At staleness_bound 0 this degenerates to lock-step BSP and
-//    is bit-identical to the oracle; at staleness > 0 the admission is still
+//    stages them in the shared dist::detail::PsServer, applies each
+//    complete round's mean (worker order, one canonical optimizer) and
+//    grants the next round to a worker only when the SSP admission
+//    `applied_version + staleness_bound >= round` holds — the simulated
+//    driver's bounded-staleness semantics, from the same code.  At
+//    staleness_bound 0 this degenerates to lock-step BSP and is
+//    bit-identical to the oracle; at staleness > 0 the admission is still
 //    enforced but real scheduling decides which admissible version a worker
 //    computes on, so numerics become schedule-dependent (by design: that is
 //    what a real async system does).

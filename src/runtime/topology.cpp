@@ -26,9 +26,7 @@ namespace {
 using dist::IterationRecord;
 using dist::SessionConfig;
 using dist::SessionResult;
-using dist::detail::common_compression_seconds;
 using dist::detail::TimingContext;
-using dist::detail::worker_scale;
 
 std::shared_ptr<const std::vector<std::uint8_t>> freeze(
     std::vector<std::uint8_t>&& bytes) {
@@ -148,6 +146,16 @@ dist::detail::StepScalars get_step_scalars(std::span<const std::uint8_t> body,
           .train_accuracy = comm::get_f64_le(body, pos + 24),
           .measured_compression = comm::get_f64_le(body, pos + 32),
           .stages_used = static_cast<int>(comm::get_u32_le(body, pos + 40))};
+}
+
+/// kPush body: the step scalars, then the encoded gradient payload.
+std::vector<std::uint8_t> encode_push(const dist::detail::StepScalars& step,
+                                      std::span<const std::uint8_t> payload) {
+  std::vector<std::uint8_t> body;
+  body.reserve(kStepScalarsBytes + payload.size());
+  put_step_scalars(body, step);
+  body.insert(body.end(), payload.begin(), payload.end());
+  return body;
 }
 
 // ---------------------------------------------------------------------------
@@ -387,48 +395,6 @@ void run_collective_coordinator(const SessionConfig& config, std::size_t dim,
 // Parameter server.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Fixed-size scalar prefix of a kPush body; the encoded gradient payload
-/// follows.  Layout: staleness u64 | step scalars.
-constexpr std::size_t kPushPrefixBytes = 8 + kStepScalarsBytes;
-
-struct PushScalars {
-  std::size_t staleness = 0;
-  dist::detail::StepScalars step;
-};
-
-std::vector<std::uint8_t> encode_push(const PushScalars& p,
-                                      std::span<const std::uint8_t> payload) {
-  std::vector<std::uint8_t> body;
-  body.reserve(kPushPrefixBytes + payload.size());
-  comm::put_u64_le(body, p.staleness);
-  put_step_scalars(body, p.step);
-  body.insert(body.end(), payload.begin(), payload.end());
-  return body;
-}
-
-PushScalars decode_push_prefix(std::span<const std::uint8_t> body) {
-  util::check(body.size() >= kPushPrefixBytes,
-              "transport: malformed kPush body");
-  return {.staleness = comm::get_u64_le(body, 0),
-          .step = get_step_scalars(body, 8)};
-}
-
-/// One worker's staged contribution, server side.  The whole kPush body is
-/// kept alive; the gradient payload is the suffix after the scalar prefix.
-struct PsPart {
-  PushScalars scalars;
-  std::shared_ptr<const std::vector<std::uint8_t>> body;
-  bool arrived = false;
-
-  [[nodiscard]] std::span<const std::uint8_t> payload() const {
-    return std::span<const std::uint8_t>(*body).subspan(kPushPrefixBytes);
-  }
-};
-
-}  // namespace
-
 void run_ps_worker(const SessionConfig& config, std::size_t w,
                    dist::Worker& worker, Endpoint& endpoint) {
   const nn::BenchmarkSpec& spec = nn::benchmark_spec(config.benchmark);
@@ -436,7 +402,6 @@ void run_ps_worker(const SessionConfig& config, std::size_t w,
   const std::size_t server = config.workers;
 
   const std::size_t dim = worker.gradient_dimension();
-  std::size_t worker_version = 0;  // applied rounds at the last pull
   std::vector<float> snapshot_scratch;
   MeasuredSeconds measured;
   util::Timer phase;
@@ -456,22 +421,19 @@ void run_ps_worker(const SessionConfig& config, std::size_t w,
       if (grant->body_size() > 0) {
         decode_snapshot(*grant, dim, snapshot_scratch);
         worker.overwrite_parameters(snapshot_scratch);
-        worker_version = grant->seq;
       }
     }
     phase.reset();
     dist::WorkerStepResult step = worker.step(spec.batch_size);
     measured.compute += phase.seconds();
 
-    const PushScalars scalars{.staleness = round - worker_version,
-                              .step = dist::detail::step_scalars(step)};
     phase.reset();
-    const bool accepted =
-        endpoint.send(server, {.kind = kPushKind,
-                               .from = w,
-                               .seq = round,
-                               .payload = freeze(encode_push(
-                                   scalars, step.encoded))});
+    const bool accepted = endpoint.send(
+        server, {.kind = kPushKind,
+                 .from = w,
+                 .seq = round,
+                 .payload = freeze(encode_push(dist::detail::step_scalars(step),
+                                               step.encoded))});
     measured.comm += phase.seconds();
     if (!accepted) throw AbortedError{};
   }
@@ -489,67 +451,20 @@ void run_ps_server(const SessionConfig& config,
                    std::vector<MeasuredSeconds>& measured) {
   const std::size_t n = config.workers;
   const std::size_t rounds = config.iterations;
-  const std::size_t slack = config.staleness_bound;
   const TimingContext timing = dist::detail::make_timing(config, dim);
 
-  // Canonical server state, exactly as in the simulated driver.
+  // Canonical server state and the round's part store, exactly as in the
+  // simulated driver; this loop only moves messages.
   dist::detail::PsServer server(config, timing, init_params, result);
 
   measured.assign(n, {});
   std::vector<bool> done_seen(n, false);
   std::size_t done_count = 0;
-  std::vector<bool> dead(n, false);
-  std::size_t alive = n;
-
-  std::vector<std::vector<PsPart>> buckets(rounds);
-  std::vector<std::size_t> arrived(rounds, 0);
-  std::vector<std::size_t> worker_version(n, 0);  // version last granted
   // wants[w]: the round worker w is waiting to have admitted; rounds
   // (one-past-end) doubles as "nothing pending".
   std::vector<std::size_t> wants(n, rounds);
-
-  std::vector<std::span<const std::uint8_t>> payload_spans(n);
-  std::vector<dist::detail::PsPartScalars> part_scalars(n);
   std::shared_ptr<const std::vector<std::uint8_t>> snapshot;
   std::size_t snapshot_version = 0;
-
-  // Applies the arrived parts of round r (all of them from the survivors;
-  // evicted workers' parts were stripped at eviction).  The mean is over the
-  // arrived count, so survivor re-normalization is automatic — and with no
-  // evictions the spans are exactly the historical all-n ones, keeping the
-  // staleness-0 bit-identity contract intact.
-  const auto apply_round = [&](std::size_t r) {
-    std::vector<PsPart>& parts = buckets[r];
-    std::size_t k = 0;
-    for (std::size_t w = 0; w < n; ++w) {
-      if (!parts[w].arrived) continue;  // evicted before completing r
-      const PushScalars& p = parts[w].scalars;
-      payload_spans[k] = parts[w].payload();
-      // Per-part modeled compression: the shared engine dispatch, evaluated
-      // server-side from the reported stats (the worker never sees the
-      // timing context).
-      part_scalars[k] = {
-          .worker = w,
-          .step = p.step,
-          .compression_seconds =
-              worker_scale(config, w) *
-              common_compression_seconds(config, timing, p.step.stages_used,
-                                         p.step.measured_compression),
-          .staleness = p.staleness};
-      ++k;
-    }
-    IterationRecord& record =
-        server.apply_round(r, std::span(payload_spans.data(), k),
-                           std::span(part_scalars.data(), k), result);
-    // Modeled communication needs the event timeline; under a real
-    // transport the honest communication number is measured_comm_seconds.
-    record.communication_seconds = 0.0;
-    result.total_modeled_seconds += record.wall_seconds();
-    parts.clear();
-    parts.shrink_to_fit();
-  };
-
-  for (auto& b : buckets) b.resize(n);
 
   const auto route_done = [&](const TransportMessage& m) {
     util::check(!done_seen[m.from],
@@ -560,32 +475,19 @@ void run_ps_server(const SessionConfig& config,
   };
 
   // Graceful degradation (FailurePolicy::kEvict): a confirmed-dead worker
-  // (kPeerDeadKind from the reliable layer) is removed from the roster.  Its
-  // parts in every unapplied round are stripped, so those rounds complete at
-  // the survivor count and their means re-normalize over the survivors; it
-  // is pre-marked done (its kDone will never come) and never granted again.
+  // (kPeerDeadKind from the reliable layer) leaves the server's roster, which
+  // strips its unapplied parts.  It is pre-marked done (its kDone will never
+  // come) and never granted again.
   const auto evict = [&](std::size_t w) {
-    if (dead[w]) return;
     util::check(config.on_worker_failure == dist::FailurePolicy::kEvict,
                 "parameter server received a peer-death notice without the "
                 "evict policy");
-    dead[w] = true;
-    --alive;
-    util::check(alive > 0,
-                "parameter server: every worker failed; nothing left to "
-                "train");
-    result.evictions.push_back({.worker = w, .round = server.version()});
+    if (!server.evict(w, result)) return;
     if (!done_seen[w]) {
       done_seen[w] = true;
       ++done_count;
     }
     wants[w] = rounds;
-    for (std::size_t r = server.version(); r < rounds; ++r) {
-      if (!buckets[r].empty() && buckets[r][w].arrived) {
-        buckets[r][w] = {};
-        arrived[r] -= 1;
-      }
-    }
   };
 
   while (server.version() < rounds) {
@@ -605,44 +507,32 @@ void run_ps_server(const SessionConfig& config,
     } else {
       util::check(msg.kind == kPushKind,
                   "parameter server received an out-of-protocol message");
-      const std::size_t w = msg.from;
-      const std::size_t r = msg.seq;
-      if (r >= rounds || buckets[r].empty() || buckets[r][w].arrived) {
-        util::check_fail(
-            "parameter server received an out-of-protocol push (worker " +
-            std::to_string(w) + ", round " + std::to_string(r) +
-            ", applied version " + std::to_string(server.version()) +
-            (r < rounds && !buckets[r].empty() && buckets[r][w].arrived
-                 ? ", duplicate"
-                 : ", round already applied or out of range") +
-            ")");
-      }
-      buckets[r][w] = {.scalars = decode_push_prefix(*msg.payload),
-                       .body = std::move(msg.payload),
-                       .arrived = true};
-      arrived[r] += 1;
-      wants[w] = r + 1;
+      const std::span<const std::uint8_t> body = body_of(msg);
+      util::check(body.size() >= kStepScalarsBytes,
+                  "transport: malformed kPush body");
+      server.stage(msg.from, msg.seq, get_step_scalars(body, 0),
+                   std::move(msg.payload), kStepScalarsBytes);
+      wants[msg.from] = msg.seq + 1;
     }
 
     // Per-worker pushes arrive in round order (transport FIFO per
-    // producer), so buckets complete in order and rounds apply in order.
-    while (server.version() < rounds && arrived[server.version()] == alive) {
-      apply_round(server.version());
+    // producer), so rounds complete in order and apply in order.  Modeled
+    // communication needs the event timeline; under a real transport the
+    // honest communication number is measured_comm_seconds.
+    while (server.ready()) {
+      result.total_modeled_seconds += server.apply_next(result).wall_seconds();
     }
 
-    // Issue every admissible grant.  SSP admission: worker w may compute
-    // round c once version + slack >= c; the grant carries a parameter
-    // snapshot exactly when the server moved on since w's last pull, with
-    // the same pull-byte accounting as the simulated driver.
+    // Send every admissible grant.  The grant carries a parameter snapshot
+    // exactly when the server's pull finds w behind.
     const std::size_t version = server.version();
     for (std::size_t g = 0; g < n; ++g) {
-      if (wants[g] >= rounds || version + slack < wants[g]) continue;
+      if (wants[g] >= rounds || !server.admits(wants[g])) continue;
       TransportMessage grant{.kind = kGrantKind,
                              .from = n,
                              .seq = version,
                              .payload = nullptr};
-      if (worker_version[g] < version) {
-        server.charge_pull(worker_version[g], result);
+      if (server.pull(g, result)) {
         if (!snapshot || snapshot_version != version) {
           // The serialized snapshot is shared between simultaneous grants
           // of the same version — a pointer copy per grant, not a copy of
@@ -651,7 +541,6 @@ void run_ps_server(const SessionConfig& config,
           snapshot_version = version;
         }
         grant.payload = snapshot;
-        worker_version[g] = version;
       }
       wants[g] = rounds;
       send_or_abort(endpoint, g, std::move(grant));

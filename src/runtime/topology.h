@@ -46,7 +46,7 @@ struct AbortedError {};
 // transport's handshake hello.
 inline constexpr std::uint8_t kPayloadKind = 1;  ///< encoded gradient bytes
 inline constexpr std::uint8_t kReportKind = 2;   ///< allgather step scalars
-inline constexpr std::uint8_t kPushKind = 3;     ///< PS scalars + gradient
+inline constexpr std::uint8_t kPushKind = 3;     ///< step scalars | gradient
 inline constexpr std::uint8_t kGrantKind = 4;    ///< SSP admission (+params)
 inline constexpr std::uint8_t kParamsKind = 5;   ///< final parameters
 inline constexpr std::uint8_t kDoneKind = 6;     ///< measured seconds
@@ -86,20 +86,23 @@ void run_collective_coordinator(const dist::SessionConfig& config,
                                 dist::SessionResult& result,
                                 std::vector<MeasuredSeconds>& measured);
 
-/// Parameter-server worker `w`: push encoded gradients (kPush), block on
-/// SSP admission grants (kGrant; a non-empty body carries a fresh parameter
-/// snapshot as a comm dense fp32 message, like kParams), kDone at the end.
-/// A snapshot that is not a dense fp32 message of the model's dimension is
-/// a util::CheckError.
+/// Parameter-server worker `w`: push encoded gradients (kPush, seq = round;
+/// body = the 44-byte step scalars of the kReport prefix, then the encoded
+/// gradient payload), block on SSP admission grants (kGrant; a non-empty
+/// body carries a fresh parameter snapshot as a comm dense fp32 message,
+/// like kParams), kDone at the end.  A snapshot that is not a dense fp32
+/// message of the model's dimension is a util::CheckError.
 void run_ps_worker(const dist::SessionConfig& config, std::size_t w,
                    dist::Worker& worker, Endpoint& endpoint);
 
 /// Parameter-server loop (endpoint n): runs the shared dist::detail::PsServer
 /// (canonical parameters seeded from `init_params`, worker 0's initial
-/// replica — the staleness-0 bit-identity rests on it), buckets pushes per
-/// round, applies each complete round through it, and grants under the SSP
-/// admission `version + staleness_bound >= round`.  Fills the engine-shared
-/// fields of `result` and collects kDone into `measured`.
+/// replica — the staleness-0 bit-identity rests on it).  Each kPush is
+/// staged in the server's part store, in place in the received body; every
+/// ready round applies; each waiting worker the server admits gets a grant,
+/// with a snapshot when its pull finds it behind.  kPeerDead evicts under
+/// FailurePolicy::kEvict.  Fills the engine-shared fields of `result` and
+/// collects kDone into `measured`.
 void run_ps_server(const dist::SessionConfig& config,
                    const std::vector<float>& init_params, std::size_t dim,
                    Endpoint& endpoint, dist::SessionResult& result,

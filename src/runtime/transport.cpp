@@ -85,15 +85,18 @@ class InMemoryTransport::InMemoryEndpoint final : public Endpoint {
       return m;
     }
     const auto give_up = std::chrono::steady_clock::now() + timeout;
-    for (;;) {
+    // The inbox is looked at before the timeout is checked, so a zero
+    // timeout still takes a queued message.
+    for (bool looked = false;; looked = true) {
       check_deadline(deadline_, "in-memory recv");
       const auto now = std::chrono::steady_clock::now();
-      if (now >= give_up) {
+      if (looked && now >= give_up) {
         timed_out = true;
         return std::nullopt;
       }
-      const auto remaining =
-          std::chrono::duration_cast<std::chrono::milliseconds>(give_up - now);
+      const auto remaining = std::max(
+          std::chrono::duration_cast<std::chrono::milliseconds>(give_up - now),
+          std::chrono::milliseconds(0));
       bool closed_and_drained = false;
       std::optional<TransportMessage> m = inbox_.try_pop_for(
           std::min(remaining, kRecvSlice), closed_and_drained);

@@ -85,36 +85,6 @@ std::vector<std::size_t> active_ids(const TenantState& t) {
   return ids;
 }
 
-/// Statically replays the churn schedule so an infeasible one fails before
-/// any tenant steps (mirrors the scenario parser's check — run_fleet is also
-/// a direct API).
-void validate_churn(const dist::ChurnSchedule& churn, std::size_t workers,
-                    std::size_t iterations) {
-  std::size_t active = workers;
-  std::size_t departed = 0;
-  for (const dist::ChurnEvent& event : churn.events) {
-    if (event.round >= iterations) {
-      util::check_fail("churn schedule '" + churn.name +
-                       "' has an event beyond the last round");
-    }
-    switch (event.kind) {
-      case dist::ChurnEvent::Kind::kLeave:
-        util::check(active >= 2, "churn would empty a tenant");
-        --active;
-        ++departed;
-        break;
-      case dist::ChurnEvent::Kind::kJoin:
-        ++active;
-        break;
-      case dist::ChurnEvent::Kind::kRejoin:
-        util::check(departed >= 1, "rejoin without a departed worker");
-        --departed;
-        ++active;
-        break;
-    }
-  }
-}
-
 void validate_tenant(const TenantSpec& tenant) {
   const dist::SessionConfig& c = tenant.session;
   ddetail::validate_config(c);
@@ -129,7 +99,7 @@ void validate_tenant(const TenantSpec& tenant) {
   util::check(!c.fault.any(),
               "fleet tenants cannot inject transport faults");
   util::check(tenant.weight > 0.0, "tenant weight must be positive");
-  validate_churn(tenant.churn, c.workers, c.iterations);
+  dist::validate_churn_feasibility(tenant.churn, c.workers, c.iterations);
 }
 
 /// Applies every churn event scheduled for the tenant's current round.

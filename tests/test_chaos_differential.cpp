@@ -342,6 +342,13 @@ TEST(ChaosDifferential, PartitionEvictRecordedAndSessionCompletes) {
       for (const dist::IterationRecord& it : r.iterations) {
         EXPECT_TRUE(std::isfinite(it.train_loss));
       }
+      // Every part actually applied is binned once: all n before the
+      // eviction's version e, the n - 1 survivors' from e on.
+      const std::size_t e = r.evictions[0].round;
+      std::size_t applied_parts = 0;
+      for (std::size_t count : r.staleness_histogram) applied_parts += count;
+      EXPECT_EQ(applied_parts, input.workers * e + (input.workers - 1) *
+                                                       (config.iterations - e));
       ASSERT_GT(r.final_parameters.size(), 0U);
       for (std::size_t i = 0; i < r.final_parameters.size(); i += 1000) {
         EXPECT_TRUE(std::isfinite(r.final_parameters[i]));

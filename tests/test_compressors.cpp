@@ -149,13 +149,6 @@ TEST(RandomK, ExactCountAndValidIndices) {
   }
 }
 
-TEST(HardThreshold, SelectsByMagnitude) {
-  compressors::HardThreshold hard(1.0, 0.5);
-  const std::vector<float> g = {0.4F, -0.6F, 0.5F, -0.1F};
-  const compressors::CompressResult r = hard.compress(g);
-  EXPECT_EQ(r.selected(), 2U);
-}
-
 TEST(NoCompression, IdentityRoundTrip) {
   compressors::NoCompression none(1.0);
   const std::vector<float> g = laplace_gradient(1000, 0.01, 10);

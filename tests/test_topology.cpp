@@ -1,10 +1,15 @@
 // Topology protocol bodies (runtime/topology.h) against hostile parameter
-// snapshots.  A kGrant snapshot (parameter server) or a kParams body
+// snapshots, and the parameter server's part store (dist::detail::PsServer)
+// driven by hand.  A kGrant snapshot (parameter server) or a kParams body
 // (allgather final parameters) must be a comm dense fp32 message of exactly
 // the model's dimension; anything else ends the receiving body with one
 // named CheckError.  The bodies run on the test thread over an
-// InMemoryTransport, and the peer's side of the exchange is scripted.  Runs
-// under ASan/UBSan in CI (labels `unit;runtime`).
+// InMemoryTransport, and the peer's side of the exchange is scripted.  A
+// push the protocol cannot produce (duplicate, applied round, past the last
+// round, from an evicted worker, beyond the staleness bound) is a named
+// CheckError from PsServer, and staged parts land in the staleness bin of
+// the rounds their worker missed.  Runs under ASan/UBSan in CI (labels
+// `unit;runtime`).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -25,6 +30,7 @@
 #include "dist/worker.h"
 #include "runtime/topology.h"
 #include "runtime/transport.h"
+#include "tensor/sparse.h"
 #include "util/check.h"
 
 namespace sidco {
@@ -181,6 +187,138 @@ TEST(CoordinatorParams, HostileParamsBodiesAreANamedError) {
     dist::SessionResult result;
     expect_snapshot_error([&] { (void)run_collective(body, result); });
   }
+}
+
+// ---------------------------------------------------------------------------
+// The parameter server's part store, driven by hand.
+// ---------------------------------------------------------------------------
+
+/// A 4-round parameter-server session of `workers` ResNet20 workers.
+dist::SessionConfig ps_config(std::size_t workers, std::size_t bound) {
+  dist::SessionConfig config = one_worker(dist::Topology::kParameterServer);
+  config.workers = workers;
+  config.iterations = 4;
+  config.staleness_bound = bound;
+  return config;
+}
+
+std::vector<float> seeded_parameters(const dist::SessionConfig& config) {
+  const auto worker = dist::detail::make_worker(config, 0);
+  return {worker->parameters().begin(), worker->parameters().end()};
+}
+
+/// A PsServer and the session state it writes to.
+struct ServerUnderTest {
+  explicit ServerUnderTest(const dist::SessionConfig& c)
+      : config(c),
+        initial(seeded_parameters(c)),
+        timing(dist::detail::make_timing(c, initial.size())),
+        server(config, timing, initial, result) {}
+
+  /// Stages worker w's part of round r: one small coordinate, encoded as
+  /// the worker would push it.
+  void stage(std::size_t w, std::size_t r) {
+    const tensor::SparseGradient g{.indices = {static_cast<std::uint32_t>(w)},
+                                   .values = {1e-3F},
+                                   .dense_dim = initial.size()};
+    std::vector<std::uint8_t> bytes;
+    comm::encode_sparse(g, comm::ValueMode::kFp32, bytes);
+    const dist::detail::StepScalars step{.nnz = 1, .wire_bytes = bytes.size()};
+    server.stage(w, r, step, freeze(std::move(bytes)));
+  }
+
+  dist::SessionConfig config;
+  std::vector<float> initial;
+  dist::detail::TimingContext timing;
+  dist::SessionResult result;
+  dist::detail::PsServer server;
+};
+
+void expect_push_error(const std::function<void()>& push,
+                       const std::string& why) {
+  try {
+    push();
+    ADD_FAILURE() << "an out-of-protocol push was staged (" << why << ")";
+  } catch (const util::CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("parameter server: out-of-protocol push"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find(why), std::string::npos) << what;
+  }
+}
+
+TEST(PsServerParts, OutOfProtocolPushesAreNamedErrors) {
+  ServerUnderTest s(ps_config(2, 1));
+  s.stage(0, 0);
+  expect_push_error([&] { s.stage(0, 0); }, "duplicate");
+  s.stage(1, 0);
+  ASSERT_TRUE(s.server.ready());
+  s.server.apply_next(s.result);
+  expect_push_error([&] { s.stage(0, 0); }, "round already applied");
+  expect_push_error([&] { s.stage(0, 4); }, "past the last round");
+  // Worker 0 last pulled version 0: round 2 would miss 2 > 1 rounds.
+  expect_push_error([&] { s.stage(0, 2); }, "beyond the staleness bound");
+  ASSERT_TRUE(s.server.evict(1, s.result));
+  expect_push_error([&] { s.stage(1, 1); }, "worker was evicted");
+  // None of them was staged: round 1 still waits for worker 0.
+  EXPECT_FALSE(s.server.ready());
+}
+
+TEST(PsServerParts, StalenessIsTheRoundsMissedSinceTheLastPull) {
+  // Bound 2, two workers: worker 0 runs ahead on the version it pulled
+  // after round 0, worker 1 pulls before each of its rounds.
+  ServerUnderTest s(ps_config(2, 2));
+  EXPECT_TRUE(s.server.admits(2));
+  EXPECT_FALSE(s.server.admits(3));
+  EXPECT_FALSE(s.server.pull(0, s.result).has_value());  // nothing applied
+  s.stage(0, 0);
+  s.stage(1, 0);
+  s.server.apply_next(s.result);
+
+  const std::optional<std::size_t> pulled = s.server.pull(0, s.result);
+  ASSERT_TRUE(pulled.has_value());
+  EXPECT_GT(*pulled, 0U);  // round 0's encoded mean
+  s.stage(0, 1);           // staleness 0
+  for (std::size_t r : {2, 3}) {
+    ASSERT_TRUE(s.server.admits(r));
+    EXPECT_FALSE(s.server.pull(0, s.result).has_value());  // still current
+    s.stage(0, r);  // staleness r - 1
+  }
+  for (std::size_t r = 1; r < 4; ++r) {
+    EXPECT_FALSE(s.server.ready());
+    ASSERT_TRUE(s.server.pull(1, s.result).has_value());
+    s.stage(1, r);  // staleness 0
+    ASSERT_TRUE(s.server.ready());
+    s.server.apply_next(s.result);
+  }
+  EXPECT_EQ(s.server.version(), 4U);
+  EXPECT_EQ(s.result.staleness_histogram,
+            (std::vector<std::size_t>{6, 1, 1}));
+}
+
+TEST(PsServerParts, EvictionCompletesRoundsAtTheSurvivorCount) {
+  ServerUnderTest s(ps_config(3, 1));
+  s.stage(0, 0);
+  s.stage(1, 0);
+  s.stage(2, 0);
+  s.server.apply_next(s.result);
+  ASSERT_TRUE(s.server.pull(1, s.result).has_value());
+  s.stage(1, 1);
+  s.stage(2, 1);
+  EXPECT_FALSE(s.server.ready());  // waits for worker 0
+  ASSERT_TRUE(s.server.evict(1, s.result));
+  EXPECT_FALSE(s.server.evict(1, s.result));  // once
+  ASSERT_EQ(s.result.evictions.size(), 1U);
+  EXPECT_EQ(s.result.evictions[0].worker, 1U);
+  EXPECT_EQ(s.result.evictions[0].round, 1U);
+  ASSERT_TRUE(s.server.pull(0, s.result).has_value());
+  s.stage(0, 1);
+  ASSERT_TRUE(s.server.ready());  // worker 1's part was stripped
+  s.server.apply_next(s.result);
+  std::size_t applied = 0;
+  for (std::size_t count : s.result.staleness_histogram) applied += count;
+  EXPECT_EQ(applied, 3U + 2U);
 }
 
 }  // namespace

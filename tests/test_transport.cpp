@@ -7,8 +7,9 @@
 // send buffers), fault injection against a live socket endpoint —
 // truncated frame mid-stream, peer closing during the handshake, oversized
 // or hostile frame headers — all of which must fail fast with descriptive
-// CheckErrors, never hang — and the reliable layer's teardown when bye frames
-// are lost, which must not wait out the silence window.  Runs under
+// CheckErrors, never hang — the reliable layer's teardown when bye frames
+// are lost, which must not wait out the silence window, and zero-timeout
+// receives, which must take a queued message on every fabric.  Runs under
 // ASan/UBSan and TSan in CI (labels `unit;runtime`).
 #include <gtest/gtest.h>
 
@@ -280,6 +281,19 @@ TEST(InMemoryTransport, BufferedMessagesDrainAfterShutdown) {
   EXPECT_FALSE(transport.endpoint(1).recv().has_value());  // then EOS
 }
 
+TEST(InMemoryTransport, ZeroTimeoutRecvTakesAQueuedMessage) {
+  InMemoryTransport transport(2, 4);
+  ASSERT_TRUE(transport.endpoint(0).send(
+      1, {.kind = 1, .from = 0, .seq = 3, .payload = bytes({9})}));
+  transport.endpoint(0).flush();
+  bool timed_out = true;
+  const std::optional<TransportMessage> m =
+      transport.endpoint(1).recv_for(std::chrono::milliseconds(0), timed_out);
+  ASSERT_TRUE(m.has_value()) << "recv_for(0) gave up before looking";
+  EXPECT_EQ(m->seq, 3U);
+  EXPECT_FALSE(timed_out);
+}
+
 // ---------------------------------------------------------------------------
 // SocketTransport mesh round-trips.
 // ---------------------------------------------------------------------------
@@ -362,6 +376,26 @@ TEST(SocketTransport, MutualLargeBurstsRespectQueueBoundWithoutDeadlock) {
   std::thread peer([&] { run_side(1); });
   run_side(0);
   peer.join();
+}
+
+TEST(SocketTransport, ZeroTimeoutRecvTakesAFlushedFrame) {
+  // Once the sender's flush() returns, the frame sits in the receiver's
+  // socket; one zero-timeout receive must poll for it, not report a timeout.
+  SocketTransport transport(2, 4);
+  std::thread sender([&] {
+    Endpoint& ep = transport.establish(1);
+    ASSERT_TRUE(
+        ep.send(0, {.kind = 1, .from = 1, .seq = 5, .payload = bytes({4})}));
+    ep.flush();
+  });
+  Endpoint& ep = transport.establish(0);
+  sender.join();
+  bool timed_out = true;
+  const std::optional<TransportMessage> m =
+      ep.recv_for(std::chrono::milliseconds(0), timed_out);
+  ASSERT_TRUE(m.has_value()) << "recv_for(0) gave up before polling";
+  EXPECT_EQ(m->seq, 5U);
+  EXPECT_FALSE(timed_out);
 }
 
 TEST(SocketTransport, FlushDeliversTailFramesBeforeEndpointGoesQuiet) {
@@ -907,6 +941,26 @@ TEST(ReliableEndpoint, ExactlyOnceInOrderOverAHeavilyFaultedFabric) {
   peer.join();
 }
 
+TEST(ReliableEndpoint, ZeroTimeoutRecvTakesAQueuedMessage) {
+  // The envelope is in the receiver's inbox as soon as send() returns on the
+  // in-memory fabric; one zero-timeout receive must pump it through.
+  InMemoryTransport transport(2, 8);
+  ReliableEndpoint sender(transport.endpoint(0), test_reliable_params(0));
+  ReliableEndpoint receiver(transport.endpoint(1), test_reliable_params(1));
+  ASSERT_TRUE(
+      sender.send(1, {.kind = 1, .from = 0, .seq = 6, .payload = bytes({2})}));
+  bool timed_out = true;
+  const std::optional<TransportMessage> m =
+      receiver.recv_for(std::chrono::milliseconds(0), timed_out);
+  ASSERT_TRUE(m.has_value()) << "recv_for(0) gave up before pumping";
+  EXPECT_EQ(m->seq, 6U);
+  EXPECT_FALSE(timed_out);
+  // Both sides flush at once: each acks and byes the other.
+  std::thread peer([&] { receiver.flush(); });
+  sender.flush();
+  peer.join();
+}
+
 // ---------------------------------------------------------------------------
 // Reliable teardown: a lost bye must not hold flush() for the silence window.
 // ---------------------------------------------------------------------------
@@ -959,13 +1013,16 @@ class ByeDropper final : public Endpoint {
 /// it out shows as a 20-s stall.
 constexpr std::chrono::milliseconds kTeardownSilence{20000};
 
-/// One thread per endpoint of an in-memory mesh, each behind
-/// reliable -> ByeDropper -> fabric: every endpoint sends one message to
-/// every peer and receives one from each, then flushes and closes its
-/// endpoint, as the threads engine does.  Returns each flush's duration.
+/// One thread per endpoint of an in-memory mesh (inbox `capacity`), each
+/// behind reliable -> ByeDropper -> fabric: every endpoint sends one message
+/// to every peer and receives one from each, then flushes and closes its
+/// endpoint, as the threads engine does.  Returns each flush's duration; an
+/// endpoint that fails counts as having waited out the silence window.
 std::vector<std::chrono::milliseconds> timed_flushes(
-    std::size_t endpoints, const ByeDropRule& drop, bool report_links = true) {
-  InMemoryTransport transport(endpoints, 8);
+    std::size_t endpoints, const ByeDropRule& drop, bool report_links = true,
+    std::chrono::milliseconds heartbeat = std::chrono::milliseconds(200),
+    std::size_t capacity = 8) {
+  InMemoryTransport transport(endpoints, capacity);
   std::vector<std::chrono::milliseconds> took(endpoints);
   const auto run_side = [&](std::size_t self) {
     ByeDropper dropper(transport.endpoint(self), self, endpoints, drop,
@@ -973,19 +1030,25 @@ std::vector<std::chrono::milliseconds> timed_flushes(
     ReliableParams params = test_reliable_params(self);
     params.endpoints = endpoints;
     params.silence_timeout = kTeardownSilence;
+    params.heartbeat_interval = heartbeat;
     ReliableEndpoint ep(dropper, params);
-    for (std::size_t peer = 0; peer < endpoints; ++peer) {
-      if (peer == self) continue;
-      EXPECT_TRUE(ep.send(
-          peer, {.kind = 1, .from = self, .seq = 0, .payload = bytes({7})}));
+    try {
+      for (std::size_t peer = 0; peer < endpoints; ++peer) {
+        if (peer == self) continue;
+        EXPECT_TRUE(ep.send(
+            peer, {.kind = 1, .from = self, .seq = 0, .payload = bytes({7})}));
+      }
+      for (std::size_t got = 0; got + 1 < endpoints; ++got) {
+        EXPECT_TRUE(ep.recv().has_value());
+      }
+      const auto start = std::chrono::steady_clock::now();
+      ep.flush();
+      took[self] = std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - start);
+    } catch (const util::CheckError& e) {
+      ADD_FAILURE() << "endpoint " << self << ": " << e.what();
+      took[self] = kTeardownSilence;
     }
-    for (std::size_t got = 0; got + 1 < endpoints; ++got) {
-      EXPECT_TRUE(ep.recv().has_value());
-    }
-    const auto start = std::chrono::steady_clock::now();
-    ep.flush();
-    took[self] = std::chrono::duration_cast<std::chrono::milliseconds>(
-        std::chrono::steady_clock::now() - start);
     transport.close_endpoint(self);
   };
   std::vector<std::thread> peers;
@@ -1026,6 +1089,17 @@ TEST(ReliableEndpoint, PeerThatNeverByesIsReleasedWhenItLeaves) {
         [](std::size_t from, std::size_t, std::size_t) { return from == 0; },
         report_links));
   }
+}
+
+TEST(ReliableEndpoint, MillisecondHeartbeatsStillReceive) {
+  // A heartbeat due within a millisecond truncates every pump's wait to
+  // 0 ms, so every receive is a zero-timeout look at the fabric: it must
+  // still take what is queued, or no peer is ever heard and the exchange
+  // dies of silence.
+  expect_prompt_flushes(timed_flushes(
+      2, [](std::size_t, std::size_t, std::size_t) { return false; },
+      /*report_links=*/true, std::chrono::milliseconds(1),
+      /*capacity=*/1024));
 }
 
 // ---------------------------------------------------------------------------
