@@ -36,6 +36,13 @@
 // the in-run seeded/copied ratio is pure speed, and only this gate sees a
 // return to per-replica seeding.
 //
+// Dense decode-mean pair: BM_DenseDecodeMean/vgg19 reduces three VGG19-sized
+// dense fp32 payloads through comm::decoded_mean, which adds each payload
+// straight from its bytes; BM_DenseDecodeMeanStaged/vgg19 decodes each into
+// a vector first and then scale-adds it, as the accumulator used to.  The
+// means are bit-identical, so only this gate sees a return to the staged
+// copy.
+//
 // The CI bench-smoke job stores this binary's JSON output (merged with
 // bench_codec's) as the committed baseline and
 // tools/check_bench_regression.py gates regressions on the multi-stage and
@@ -46,9 +53,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "comm/aggregate.h"
+#include "comm/codec.h"
 #include "common.h"
 #include "core/factory.h"
 #include "core/sidco_compressor.h"
@@ -59,6 +69,7 @@
 #include "legacy_nn_kernels.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
+#include "nn/zoo.h"
 #include "stats/distributions.h"
 #include "tensor/vector_ops.h"
 #include "util/rng.h"
@@ -561,6 +572,69 @@ void BM_MakeWorkersSeeded(benchmark::State& state,
   }
 }
 BENCHMARK_CAPTURE(BM_MakeWorkersSeeded, vgg19, sidco::nn::Benchmark::kVgg19);
+
+// ---------------------------------------------------------- dense decode-mean
+
+/// Three VGG19-sized dense fp32 payloads: one round of the session
+/// benchmark's vgg19-dense-allgather workload as every replica reduces it.
+const std::vector<std::vector<std::uint8_t>>& vgg19_dense_payloads() {
+  static const std::vector<std::vector<std::uint8_t>> payloads = [] {
+    const std::size_t dim =
+        sidco::nn::make_model(sidco::nn::Benchmark::kVgg19, 7)
+            .parameter_count();
+    std::vector<std::vector<std::uint8_t>> out(3);
+    for (std::size_t w = 0; w < out.size(); ++w) {
+      std::vector<float> gradient = laplace_vector(dim);
+      for (float& g : gradient) g *= static_cast<float>(w + 1);
+      sidco::comm::encode_dense(gradient, sidco::comm::ValueMode::kFp32,
+                                out[w]);
+    }
+    return out;
+  }();
+  return payloads;
+}
+
+void BM_DenseDecodeMean(benchmark::State& state) {
+  const auto& encoded = vgg19_dense_payloads();
+  const std::vector<std::span<const std::uint8_t>> payloads(encoded.begin(),
+                                                            encoded.end());
+  const std::size_t dim = sidco::comm::peek_header(encoded[0]).dense_dim;
+  sidco::comm::SparseAccumulator accumulator;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        sidco::comm::decoded_mean(accumulator, payloads, dim).data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_DenseDecodeMean)->Name("BM_DenseDecodeMean/vgg19");
+
+// The decode-mean as it was before dense payloads were added straight from
+// their bytes: decode_dense into a staging vector, then the scale-add.  The
+// staging vector is cleared first, so decode_dense sizes it afresh, as it
+// did on every call then.  The means are bit-identical
+// (test_sparse_aggregation), so the in-run staged/direct ratio is pure
+// speed.
+void BM_DenseDecodeMeanStaged(benchmark::State& state) {
+  const auto& encoded = vgg19_dense_payloads();
+  const std::size_t dim = sidco::comm::peek_header(encoded[0]).dense_dim;
+  const auto scale =
+      static_cast<float>(1.0 / static_cast<double>(encoded.size()));
+  std::vector<float> mean;
+  std::vector<float> staging;
+  for (auto _ : state) {
+    mean.assign(dim, 0.0F);
+    for (const std::vector<std::uint8_t>& payload : encoded) {
+      staging.clear();
+      sidco::comm::decode_dense(payload, staging);
+      for (std::size_t i = 0; i < staging.size(); ++i) {
+        mean[i] += scale * staging[i];
+      }
+    }
+    benchmark::DoNotOptimize(mean.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_DenseDecodeMeanStaged)->Name("BM_DenseDecodeMeanStaged/vgg19");
 
 // ------------------------------------------------------------ thread scaling
 

@@ -1,5 +1,8 @@
 #include "comm/aggregate.h"
 
+#include <algorithm>
+#include <array>
+
 #include "util/check.h"
 
 namespace sidco::comm {
@@ -29,13 +32,22 @@ void SparseAccumulator::accumulate(const tensor::SparseGradient& part,
 
 MessageInfo SparseAccumulator::accumulate_encoded(
     std::span<const std::uint8_t> buffer, float scale) {
-  const MessageInfo header = peek_header(buffer);
-  if (header.kind == PayloadKind::kDense) {
-    const MessageInfo info = decode_dense(buffer, dense_staging_);
+  if (peek_header(buffer).kind == PayloadKind::kDense) {
+    const MessageInfo info = check_dense(buffer);
     util::check(info.dense_dim == dense_.size(),
                 "aggregate: dense payload dimension mismatch");
-    for (std::size_t i = 0; i < dense_staging_.size(); ++i) {
-      dense_[i] += scale * dense_staging_[i];
+    // Straight from the payload bytes, a cache-resident chunk at a time: one
+    // pass over the payload instead of a gradient-sized staged copy.  Same
+    // element op and order as accumulate().
+    std::array<float, 2048> chunk;
+    for (std::size_t at = 0; at < info.count; at += chunk.size()) {
+      const std::span<float> values =
+          std::span(chunk).first(std::min(chunk.size(), info.count - at));
+      read_dense_values(buffer, info, at, values);
+      float* sum = dense_.data() + at;
+      for (std::size_t j = 0; j < values.size(); ++j) {
+        sum[j] += scale * values[j];
+      }
     }
     return info;
   }

@@ -29,7 +29,7 @@ void check_canonical(const tensor::SparseGradient& gradient);
 
 /// Accumulates worker payloads into a dense sum, mirroring the exact
 /// float-add order of tensor::aggregate_mean.  All scratch (the dense buffer
-/// and the decode staging) is reused across rounds: steady-state
+/// and the sparse decode staging) is reused across rounds: steady-state
 /// accumulation performs zero heap allocations.
 class SparseAccumulator {
  public:
@@ -40,8 +40,10 @@ class SparseAccumulator {
   /// and share the round's dense_dim.
   void accumulate(const tensor::SparseGradient& part, float scale);
 
-  /// Decodes an encoded sparse or dense message into internal staging and
-  /// accumulates it.  Returns the decoded header summary.
+  /// Accumulates an encoded sparse or dense message: a sparse one decoded
+  /// into internal staging, a dense one added straight from its bytes (the
+  /// same sum as decode_dense plus the scale-add, bit for bit, and the same
+  /// rejections).  Returns the decoded header summary.
   MessageInfo accumulate_encoded(std::span<const std::uint8_t> buffer,
                                  float scale);
 
@@ -51,7 +53,6 @@ class SparseAccumulator {
  private:
   std::vector<float> dense_;
   tensor::SparseGradient staging_;
-  std::vector<float> dense_staging_;
 };
 
 /// The decode-side mean of one round: resets `acc` to `dense_dim`,

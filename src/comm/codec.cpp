@@ -83,14 +83,13 @@ void write_values(util::simd::Level level, std::vector<std::uint8_t>& out,
   // order; the forced-scalar level keeps the reference per-element loops.
   if constexpr (std::endian::native == std::endian::little) {
     if (level != util::simd::Level::kScalar) {
-      const std::size_t at = out.size();
       if (mode == ValueMode::kFp32) {
-        out.resize(at + values.size() * 4);
-        // An empty span may hold a null pointer, which memcpy must not get.
-        if (!values.empty()) {
-          std::memcpy(out.data() + at, values.data(), values.size() * 4);
-        }
+        // Appended, not zero-filled and then copied over.
+        const auto* bytes =
+            reinterpret_cast<const std::uint8_t*>(values.data());
+        out.insert(out.end(), bytes, bytes + values.size() * 4);
       } else {
+        const std::size_t at = out.size();
         out.resize(at + values.size() * 2);
         detail::float_to_half_bytes(level, values.data(), values.size(),
                                     out.data() + at);
@@ -112,24 +111,25 @@ float read_value(std::span<const std::uint8_t> buf, std::size_t at,
       static_cast<std::uint16_t>(buf[at] | (buf[at + 1] << 8)));
 }
 
+/// Decodes out.size() values starting at byte `at` into `out`.
 void read_values(util::simd::Level level, std::span<const std::uint8_t> buf,
-                 std::size_t at, std::size_t count, ValueMode mode,
-                 std::vector<float>& out) {
+                 std::size_t at, ValueMode mode, std::span<float> out) {
   if constexpr (std::endian::native == std::endian::little) {
     if (level != util::simd::Level::kScalar) {
-      out.resize(count);
       if (mode == ValueMode::kFp32) {
-        if (count != 0) std::memcpy(out.data(), buf.data() + at, count * 4);
+        if (!out.empty()) {
+          std::memcpy(out.data(), buf.data() + at, out.size() * 4);
+        }
       } else {
-        detail::half_to_float_bytes(level, buf.data() + at, count,
+        detail::half_to_float_bytes(level, buf.data() + at, out.size(),
                                     out.data());
       }
       return;
     }
   }
   const std::size_t vb = value_bytes(mode);
-  for (std::size_t j = 0; j < count; ++j) {
-    out.push_back(read_value(buf, at + j * vb, mode));
+  for (std::size_t j = 0; j < out.size(); ++j) {
+    out[j] = read_value(buf, at + j * vb, mode);
   }
 }
 
@@ -376,7 +376,8 @@ MessageInfo decode_sparse(std::span<const std::uint8_t> buffer,
 
   util::check(buffer.size() == pos + info.count * vb,
               "wire: payload size does not match header");
-  read_values(level, buffer, pos, info.count, info.value_mode, out.values);
+  out.values.resize(info.count);
+  read_values(level, buffer, pos, info.value_mode, out.values);
   return info;
 }
 
@@ -384,14 +385,15 @@ std::size_t encode_dense(std::span<const float> values, ValueMode mode,
                          std::vector<std::uint8_t>& out) {
   const std::uint8_t flags =
       static_cast<std::uint8_t>(static_cast<std::uint8_t>(mode) << 1);
+  out.clear();
+  out.reserve(encoded_dense_bytes(values.size(), mode));
   write_header(out, PayloadKind::kDense, flags, 0, values.size(),
                values.size());
   write_values(util::simd::active(), out, values, mode);
   return out.size();
 }
 
-MessageInfo decode_dense(std::span<const std::uint8_t> buffer,
-                         std::vector<float>& out) {
+MessageInfo check_dense(std::span<const std::uint8_t> buffer) {
   const MessageInfo info = peek_header(buffer);
   util::check(info.kind == PayloadKind::kDense,
               "wire: expected a dense payload");
@@ -402,10 +404,26 @@ MessageInfo decode_dense(std::span<const std::uint8_t> buffer,
   const std::size_t vb = value_bytes(info.value_mode);
   util::check(buffer.size() == kHeaderBytes + info.count * vb,
               "wire: payload size does not match header");
-  out.clear();
-  out.reserve(info.count);
-  read_values(util::simd::active(), buffer, kHeaderBytes, info.count,
+  return info;
+}
+
+void read_dense_values(std::span<const std::uint8_t> buffer,
+                       const MessageInfo& info, std::size_t first,
+                       std::span<float> out) {
+  util::check(first <= info.count && out.size() <= info.count - first &&
+                  buffer.size() == encoded_dense_bytes(info.count,
+                                                       info.value_mode),
+              "wire: dense value range outside the message");
+  read_values(util::simd::active(), buffer,
+              kHeaderBytes + first * value_bytes(info.value_mode),
               info.value_mode, out);
+}
+
+MessageInfo decode_dense(std::span<const std::uint8_t> buffer,
+                         std::vector<float>& out) {
+  const MessageInfo info = check_dense(buffer);
+  out.resize(info.count);
+  read_dense_values(buffer, info, 0, out);
   return info;
 }
 

@@ -130,9 +130,21 @@ MessageInfo decode_sparse(std::span<const std::uint8_t> buffer,
 std::size_t encode_dense(std::span<const float> values, ValueMode mode,
                          std::vector<std::uint8_t>& out);
 
-/// Decodes a dense message into `out` (storage reused).
+/// Decodes a dense message into `out` (storage reused): check_dense, then
+/// read_dense_values over every value.
 MessageInfo decode_dense(std::span<const std::uint8_t> buffer,
                          std::vector<float>& out);
+
+/// Validates a dense message without decoding it (the checks and messages of
+/// decode_dense) and returns its header summary.
+MessageInfo check_dense(std::span<const std::uint8_t> buffer);
+
+/// Decodes values [first, first + out.size()) of a dense message that
+/// check_dense accepted (`info` is its summary) into `out`, so a reader can
+/// stream a large message through a small buffer.
+void read_dense_values(std::span<const std::uint8_t> buffer,
+                       const MessageInfo& info, std::size_t first,
+                       std::span<float> out);
 
 /// A bit-packed quantized payload: `symbols[i]` in [0, 2^symbol_bits) plus
 /// one fp32 scale.  SignSGD packs sign bits (symbol_bits = 1); QSGD packs

@@ -44,8 +44,9 @@ class Compressor {
   /// statistics.
   CompressResult compress(std::span<const float> gradient);
 
-  /// Sparsifies without re-validating — for callers that already ran
-  /// validate_gradient() and want measured latency to exclude that pass.
+  /// Sparsifies without re-validating — for callers that already checked
+  /// validate_gradient()'s contract and want measured latency to exclude
+  /// that pass.
   CompressResult compress_unchecked(std::span<const float> gradient);
 
   /// Sparsifies into `out`, reusing its storage.  Together with the

@@ -414,17 +414,17 @@ IterationRecord CollectiveRound::run(const SessionConfig& config,
                                      std::size_t iter, SessionResult& result) {
   const std::size_t n = replicas.size();
   const std::size_t batch = nn::benchmark_spec(config.benchmark).batch_size;
-  steps_.resize(n);
   payloads_.resize(n);
   scalars.resize(n);
   produce.resize(n);
   for (std::size_t k = 0; k < n; ++k) {
-    steps_[k] = replicas[k]->step(batch);
-    payloads_[k] = steps_[k].encoded;
-    scalars[k] = step_scalars(steps_[k]);
+    const WorkerStepResult& step = replicas[k]->step(batch);
+    payloads_[k] = step.encoded;
+    scalars[k] = step_scalars(step);
   }
   // Every replica applies the same decoded mean of the actual wire payloads
-  // (bit-identical to the dense reference mean), in lock step.
+  // (bit-identical to the dense reference mean), in lock step.  The payloads
+  // are read in place: each stays valid until its replica's next step.
   const std::span<const float> mean =
       comm::decoded_mean(accumulator_, payloads_, timing.dim);
   for (Worker* replica : replicas) replica->apply_update(mean);
@@ -545,7 +545,9 @@ IterationRecord& PsServer::apply_next(SessionResult& result) {
     stages = std::max(stages, p.step.stages_used);
     result.staleness_histogram[p.staleness] += 1;
     max_scale = std::max(max_scale, worker_scale(config_, w));
-    if (n > 1) record.wire_bytes += p.step.wire_bytes;
+    // Gated like the dense-equivalent charge below: after an eviction leaves
+    // one survivor, its push still crosses the wire.
+    if (config_.workers > 1) record.wire_bytes += p.step.wire_bytes;
   }
 
   // The mean is over the staged parts, so survivor re-normalization after
@@ -685,7 +687,7 @@ SessionResult run_parameter_server(const SessionConfig& config) {
   // time `now`, stages the part (its staleness is fixed here, before w can
   // pull again), and schedules the step-completion event.
   const auto compute = [&](std::size_t w, std::size_t round, double now) {
-    WorkerStepResult step = workers[w]->step(spec.batch_size);
+    WorkerStepResult& step = workers[w]->step(spec.batch_size);
     push_bytes[w] = step.wire_bytes;
     const double produce = server.stage(
         w, round, step_scalars(step),

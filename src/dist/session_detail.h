@@ -173,7 +173,6 @@ class CollectiveRound {
   std::vector<double> produce;
 
  private:
-  std::vector<WorkerStepResult> steps_;
   std::vector<std::span<const std::uint8_t>> payloads_;
   comm::SparseAccumulator accumulator_;
 };

@@ -1,6 +1,8 @@
 #include "dist/worker.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <utility>
 
 #include "data/factory.h"
@@ -43,7 +45,7 @@ void Worker::enable_autotune(const core::AutotuneConfig& config,
   }
 }
 
-WorkerStepResult Worker::step(std::size_t batch_size) {
+WorkerStepResult& Worker::step(std::size_t batch_size) {
   util::check(batch_size >= 1, "batch size must be >= 1");
   const nn::BenchmarkSpec& spec = nn::benchmark_spec(benchmark_);
 
@@ -55,19 +57,31 @@ WorkerStepResult Worker::step(std::size_t batch_size) {
       logits, batch.labels, spec.classes, dlogits_);
   model_.backward(dlogits_);
 
+  // One pass: the error-feedback add and Compressor::validate_gradient's
+  // checks (same messages), outside the timed window so measured latency
+  // reflects only the scheme's own selection work.  The add stays when
+  // there is nothing to add: g + 0.0F turns -0 into +0, and the payload
+  // bytes carry that.
   const std::span<const float> grad = model_.gradients();
+  util::check(!grad.empty(), "cannot compress an empty gradient");
+  std::uint32_t non_finite = 0;
   for (std::size_t i = 0; i < grad.size(); ++i) {
-    ec_gradient_[i] = grad[i] + (error_feedback_ ? memory_[i] : 0.0F);
+    const float g = grad[i] + (error_feedback_ ? memory_[i] : 0.0F);
+    ec_gradient_[i] = g;
+    // All exponent bits set: an infinity or a NaN.
+    non_finite |= static_cast<std::uint32_t>(
+        (std::bit_cast<std::uint32_t>(g) & 0x7F800000U) == 0x7F800000U);
   }
+  util::check(non_finite == 0, "gradient contains non-finite values");
 
-  // Validate outside the timed window so measured latency reflects only the
-  // scheme's own selection work.  The result object is a reused member, so
-  // the timed region exercises the steady-state allocation-free path, and
-  // the SerialScope keeps kernels inline on this thread: parallel sessions
-  // run several workers concurrently, and contending on the shared kernel
-  // pool inside the timed window would let one worker's wait on another's
-  // job inflate its single-device latency.
-  compressors::Compressor::validate_gradient(ec_gradient_);
+  // The selection lands in the result's own buffers, lent to the reused
+  // compressed_ for the call and traded back below, so one set serves every
+  // step and the timed region exercises the steady-state allocation-free
+  // path.  The SerialScope keeps kernels inline on this thread: parallel
+  // sessions run several workers concurrently, and contending on the shared
+  // kernel pool inside the timed window would let one worker's wait on
+  // another's job inflate its single-device latency.
+  std::swap(result_.sparse, compressed_.sparse);
   util::Timer timer;
   {
     util::ThreadPool::SerialScope single_device;
@@ -76,16 +90,20 @@ WorkerStepResult Worker::step(std::size_t batch_size) {
   const double measured = timer.seconds();
 
   if (error_feedback_) {
-    // Residual = corrected gradient off the selected support (Algorithm 2).
-    memory_ = ec_gradient_;
+    // Residual = corrected gradient off the selected support (Algorithm 2):
+    // the corrected gradient becomes the memory, and the old memory's
+    // buffer takes the next step's corrected gradient.
+    std::swap(memory_, ec_gradient_);
     for (std::size_t j = 0; j < compressed_.sparse.nnz(); ++j) {
       memory_[compressed_.sparse.indices[j]] = 0.0F;
     }
   }
 
+  std::swap(result_.sparse, compressed_.sparse);
   // Serialize the payload as it would travel (outside the timed window, so
   // measured compression latency stays a pure selection cost).
-  comm::encode_gradient(compressed_.sparse, comm::ValueMode::kFp32, encoded_);
+  comm::encode_gradient(result_.sparse, comm::ValueMode::kFp32,
+                        result_.encoded);
 
   if (autotune_) {
     // Price this step's observables with the deterministic models only —
@@ -93,7 +111,7 @@ WorkerStepResult Worker::step(std::size_t batch_size) {
     // sequence is a pure function of the numerics every engine shares.
     const WorkerAutotuneModel& m = *autotune_model_;
     const std::size_t bytes = detail::payload_timing_bytes(
-        encoded_.size(), model_.parameter_count(), m.timing_dim);
+        result_.encoded.size(), model_.parameter_count(), m.timing_dim);
     const double comm = m.collective ? m.network.sparse_allgather_seconds(bytes)
                                      : m.network.link_transfer_seconds(bytes);
     const double compression =
@@ -109,16 +127,13 @@ WorkerStepResult Worker::step(std::size_t batch_size) {
     }
   }
 
-  WorkerStepResult result;
-  result.sparse = compressed_.sparse;  // copy: compressed_ keeps its capacity
-  result.encoded = encoded_;           // copy: encoded_ keeps its capacity
-  result.wire_bytes = encoded_.size();
-  result.selected = compressed_.sparse.nnz();
-  result.train_loss = loss.loss;
-  result.train_accuracy = loss.accuracy;
-  result.stages_used = compressed_.stages_used;
-  result.measured_compression_seconds = measured;
-  return result;
+  result_.wire_bytes = result_.encoded.size();
+  result_.selected = result_.sparse.nnz();
+  result_.train_loss = loss.loss;
+  result_.train_accuracy = loss.accuracy;
+  result_.stages_used = compressed_.stages_used;
+  result_.measured_compression_seconds = measured;
+  return result_;
 }
 
 void Worker::overwrite_parameters(std::span<const float> params) {

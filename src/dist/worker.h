@@ -87,8 +87,12 @@ class Worker {
   void enable_autotune(const core::AutotuneConfig& config,
                        const WorkerAutotuneModel& model);
 
-  /// Forward/backward on one sampled batch of `batch_size`, then compress.
-  WorkerStepResult step(std::size_t batch_size);
+  /// Forward/backward on one sampled batch of `batch_size`, then compress
+  /// and encode.  Returns this worker's own result object, which stays valid
+  /// until its next step() and is reused by it, so a step copies no
+  /// gradient-sized buffer.  A caller that ships the payload past the next
+  /// step moves `encoded` out (the next step encodes into a fresh buffer).
+  WorkerStepResult& step(std::size_t batch_size);
 
   /// Applies the aggregated dense gradient through this worker's optimizer.
   void apply_update(std::span<const float> aggregated_gradient);
@@ -144,8 +148,10 @@ class Worker {
   /// steady-state (allocation-free) kernel path, which is what the
   /// CPU-measured device model extrapolates from.
   compressors::CompressResult compressed_;
-  /// Reused wire-encode buffer (encoding sits outside the timed window).
-  std::vector<std::uint8_t> encoded_;
+  /// What step() hands out: its `sparse` buffers are lent to compressed_ by
+  /// swap for the compress call and traded back, and `encoded` is the
+  /// wire-encode buffer itself.
+  WorkerStepResult result_;
   /// Armed together by enable_autotune(); absent in fixed-ratio sessions.
   std::optional<core::AutotuneController> autotune_;
   std::optional<WorkerAutotuneModel> autotune_model_;

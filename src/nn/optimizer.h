@@ -19,8 +19,10 @@ class SgdOptimizer {
  public:
   explicit SgdOptimizer(const OptimizerConfig& config);
 
-  /// Applies one update with gradient `grad` to `params` (equal sizes).
-  /// The velocity buffer is lazily sized on first use.
+  /// Applies one update with gradient `grad` to `params` (equal sizes, not
+  /// overlapping).  `grad` is read in place unless weight decay or clipping
+  /// needs a modified copy.  The velocity buffer is lazily sized on first
+  /// use.
   void step(std::span<float> params, std::span<const float> grad);
 
   [[nodiscard]] double learning_rate() const { return config_.learning_rate; }

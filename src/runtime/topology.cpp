@@ -232,10 +232,12 @@ void run_collective_worker(const SessionConfig& config, std::size_t w,
   for (std::size_t iter = 0; iter < iters; ++iter) {
     maybe_kill_self(config.fault, w, iter);
     phase.reset();
-    dist::WorkerStepResult step = worker.step(spec.batch_size);
+    dist::WorkerStepResult& step = worker.step(spec.batch_size);
     measured.compute += phase.seconds();
 
     phase.reset();
+    // The encode buffer itself travels; the worker's next step encodes into
+    // a fresh one.
     const auto payload = freeze(std::move(step.encoded));
     // Broadcast to every peer.  The transport guarantees a full peer inbox
     // never blocks this endpoint outright (InMemoryTransport drains its own
@@ -424,10 +426,12 @@ void run_ps_worker(const SessionConfig& config, std::size_t w,
       }
     }
     phase.reset();
-    dist::WorkerStepResult step = worker.step(spec.batch_size);
+    const dist::WorkerStepResult& step = worker.step(spec.batch_size);
     measured.compute += phase.seconds();
 
     phase.reset();
+    // The payload is copied once, behind the step scalars; the worker keeps
+    // its encode buffer.
     const bool accepted = endpoint.send(
         server, {.kind = kPushKind,
                  .from = w,

@@ -349,6 +349,14 @@ TEST(ChaosDifferential, PartitionEvictRecordedAndSessionCompletes) {
       for (std::size_t count : r.staleness_histogram) applied_parts += count;
       EXPECT_EQ(applied_parts, input.workers * e + (input.workers - 1) *
                                                        (config.iterations - e));
+      // Every round's pushes crossed the wire, a lone survivor's too.  The
+      // session total is those pushes plus the pulls, which ride on top.
+      std::size_t pushed = 0;
+      for (std::size_t round = 0; round < r.iterations.size(); ++round) {
+        EXPECT_GT(r.iterations[round].wire_bytes, 0U) << "round " << round;
+        pushed += r.iterations[round].wire_bytes;
+      }
+      EXPECT_LT(pushed, r.total_wire_bytes);
       ASSERT_GT(r.final_parameters.size(), 0U);
       for (std::size_t i = 0; i < r.final_parameters.size(); i += 1000) {
         EXPECT_TRUE(std::isfinite(r.final_parameters[i]));

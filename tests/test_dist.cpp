@@ -3,12 +3,16 @@
 // equivalence between sparse allgather and dense allreduce.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "comm/aggregate.h"
+#include "comm/frame.h"
 #include "dist/device_model.h"
 #include "dist/network_model.h"
 #include "dist/session.h"
@@ -123,6 +127,177 @@ TEST(Worker, NoErrorFeedbackKeepsMemoryZero) {
                       0.01, /*error_feedback=*/false);
   (void)worker.step(4);
   for (float m : worker.error_memory()) EXPECT_EQ(m, 0.0F);
+}
+
+std::uint32_t fnv_of(std::span<const std::uint8_t> bytes) {
+  return comm::fnv1a32(bytes);
+}
+
+std::uint32_t fnv_of(std::span<const float> values) {
+  return comm::fnv1a32(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(values.data()),
+      values.size() * sizeof(float)));
+}
+
+/// FNV-1a of one round's push payload, residual and applied parameters.
+struct PinnedRound {
+  std::uint32_t encoded = 0;
+  std::uint32_t memory = 0;
+  std::uint32_t params = 0;
+  bool operator==(const PinnedRound&) const = default;
+};
+
+constexpr std::size_t kPinnedRounds = 4;
+
+struct PinnedCell {
+  nn::Benchmark benchmark;
+  core::Scheme scheme;
+  bool error_feedback;
+  std::array<PinnedRound, kPinnedRounds> rounds;
+};
+
+/// `rounds` as the pinned table spells them.
+std::string pinned_rounds(
+    const std::array<PinnedRound, kPinnedRounds>& rounds) {
+  std::string text = "{{";
+  char hex[48];
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    std::snprintf(hex, sizeof(hex), "%s{0x%08xU, 0x%08xU, 0x%08xU}",
+                  r == 0 ? "" : ", ", rounds[r].encoded, rounds[r].memory,
+                  rounds[r].params);
+    text += hex;
+  }
+  return text + "}}";
+}
+
+// A worker's step is pinned byte for byte.  The differential suites compare
+// drivers that all run this same step, and the scenario goldens compare
+// losses at a tolerance on ResNet20 with EC on, so neither would see a
+// rewrite of the step's own passes (error-feedback add, validation, residual
+// keep, encode) or of the optimizer and dense accumulate change a bit.  Each
+// cell runs 4 rounds of step, then the decoded payload applied through
+// decoded_mean, on the dense path, EC off and both optimizer paths: ResNet20
+// (vanilla SGD), VGG19 (Nesterov, gradient read in place) and LSTM-PTB
+// (Nesterov with clipping, through the optimizer's scratch).
+TEST(Worker, StepAndApplyArePinnedByteForByte) {
+  using nn::Benchmark;
+  using core::Scheme;
+  // Recorded before the step's passes were fused and its copies dropped; an
+  // exact rewrite reproduces every value.
+  const PinnedCell cells[] = {
+      {Benchmark::kResNet20, Scheme::kNone, true,
+       {{{0x67b9b5a7U, 0x17af8ee5U, 0x95308ec8U},
+         {0x1e9452cdU, 0x17af8ee5U, 0x785d7824U},
+         {0x57e5e671U, 0x17af8ee5U, 0xe50fab61U},
+         {0xca0905deU, 0x17af8ee5U, 0x4c3286d9U}}}},
+      {Benchmark::kResNet20, Scheme::kNone, false,
+       {{{0x67b9b5a7U, 0x17af8ee5U, 0x95308ec8U},
+         {0x1e9452cdU, 0x17af8ee5U, 0x785d7824U},
+         {0x57e5e671U, 0x17af8ee5U, 0xe50fab61U},
+         {0xca0905deU, 0x17af8ee5U, 0x4c3286d9U}}}},
+      {Benchmark::kResNet20, Scheme::kTopK, true,
+       {{{0x622b1081U, 0x5b7db20bU, 0xac9fb869U},
+         {0xdf1fa8f3U, 0x1dd7b8ebU, 0x0b0a60d2U},
+         {0x053d39a9U, 0x470e604cU, 0x9f3b86d1U},
+         {0xc5ba87edU, 0x63d36f8cU, 0x7fb3839cU}}}},
+      {Benchmark::kResNet20, Scheme::kTopK, false,
+       {{{0x622b1081U, 0x17af8ee5U, 0xac9fb869U},
+         {0xbea4a305U, 0x17af8ee5U, 0x3a39a579U},
+         {0x2eba125cU, 0x17af8ee5U, 0x4afa7a44U},
+         {0xeec70b68U, 0x17af8ee5U, 0x753cfea5U}}}},
+      {Benchmark::kResNet20, Scheme::kSidcoExponential, true,
+       {{{0x5fedc8c3U, 0x01b13c95U, 0xd5073f23U},
+         {0x6495a81fU, 0xcfec08e9U, 0x9fbec54eU},
+         {0x730d3b07U, 0xe4af1002U, 0x6277202eU},
+         {0xf626233bU, 0xa6e089beU, 0xb42346f8U}}}},
+      {Benchmark::kResNet20, Scheme::kSidcoExponential, false,
+       {{{0x5fedc8c3U, 0x17af8ee5U, 0xd5073f23U},
+         {0xe2f7e777U, 0x17af8ee5U, 0xb17293c6U},
+         {0xcb055fe7U, 0x17af8ee5U, 0x0d604295U},
+         {0x0786d093U, 0x17af8ee5U, 0x4a06afe2U}}}},
+      {Benchmark::kVgg19, Scheme::kNone, true,
+       {{{0x6fce849aU, 0x12d06c65U, 0xbefb56d8U},
+         {0xba66b5aaU, 0x12d06c65U, 0x5e318fe7U},
+         {0xa0ccd2c3U, 0x12d06c65U, 0x166fdda9U},
+         {0x02975079U, 0x12d06c65U, 0xabb73ce3U}}}},
+      {Benchmark::kVgg19, Scheme::kNone, false,
+       {{{0x6fce849aU, 0x12d06c65U, 0xbefb56d8U},
+         {0xba66b5aaU, 0x12d06c65U, 0x5e318fe7U},
+         {0xa0ccd2c3U, 0x12d06c65U, 0x166fdda9U},
+         {0x02975079U, 0x12d06c65U, 0xabb73ce3U}}}},
+      {Benchmark::kVgg19, Scheme::kTopK, true,
+       {{{0x64fb490eU, 0x56f14e2cU, 0x93a153aeU},
+         {0x7e33e27bU, 0xe947a785U, 0xf7fa93b0U},
+         {0x42281050U, 0x64c8e10bU, 0x9aaf7b8eU},
+         {0x694ce88cU, 0x4cc79f98U, 0xf4f6257eU}}}},
+      {Benchmark::kVgg19, Scheme::kTopK, false,
+       {{{0x64fb490eU, 0x12d06c65U, 0x93a153aeU},
+         {0xca20bccaU, 0x12d06c65U, 0x59022d6cU},
+         {0x6846fbb7U, 0x12d06c65U, 0x847d4f08U},
+         {0xf001caa0U, 0x12d06c65U, 0xf7b48137U}}}},
+      {Benchmark::kVgg19, Scheme::kSidcoExponential, true,
+       {{{0xab3ef02bU, 0x66f5b88bU, 0xdae4ec66U},
+         {0x9474bf4dU, 0x904d23e2U, 0x3f9be894U},
+         {0x5b99d85aU, 0xed7809cfU, 0x78183ae2U},
+         {0x390f8b6aU, 0x41638f3cU, 0xb51accf5U}}}},
+      {Benchmark::kVgg19, Scheme::kSidcoExponential, false,
+       {{{0xab3ef02bU, 0x12d06c65U, 0xdae4ec66U},
+         {0x0d51ebd5U, 0x12d06c65U, 0x58b786c9U},
+         {0xdcc6e9c7U, 0x12d06c65U, 0xd3405910U},
+         {0xb220998aU, 0x12d06c65U, 0x7b31069aU}}}},
+      {Benchmark::kLstmPtb, Scheme::kNone, true,
+       {{{0xad6f5a96U, 0xc86dc1c5U, 0x625227adU},
+         {0xe8fbb1b8U, 0xc86dc1c5U, 0xb68cbeb5U},
+         {0xd2196d4bU, 0xc86dc1c5U, 0x02002efaU},
+         {0x5e8226d8U, 0xc86dc1c5U, 0x88e849f8U}}}},
+      {Benchmark::kLstmPtb, Scheme::kNone, false,
+       {{{0xad6f5a96U, 0xc86dc1c5U, 0x625227adU},
+         {0xe8fbb1b8U, 0xc86dc1c5U, 0xb68cbeb5U},
+         {0xd2196d4bU, 0xc86dc1c5U, 0x02002efaU},
+         {0x5e8226d8U, 0xc86dc1c5U, 0x88e849f8U}}}},
+      {Benchmark::kLstmPtb, Scheme::kTopK, true,
+       {{{0xfe3f1ca5U, 0xf320e9f8U, 0xa21878ecU},
+         {0x8b521fbaU, 0xf5d4f486U, 0x5ca41402U},
+         {0x242469efU, 0x8a6dcdd9U, 0xae2c1807U},
+         {0x80b57924U, 0x7e8b8b6aU, 0x83f53161U}}}},
+      {Benchmark::kLstmPtb, Scheme::kTopK, false,
+       {{{0xfe3f1ca5U, 0xc86dc1c5U, 0xa21878ecU},
+         {0x6dede6adU, 0xc86dc1c5U, 0x770d82b6U},
+         {0x7a291662U, 0xc86dc1c5U, 0x75f19d5dU},
+         {0x3d2433daU, 0xc86dc1c5U, 0x90edc0cbU}}}},
+      {Benchmark::kLstmPtb, Scheme::kSidcoExponential, true,
+       {{{0x4ff540b4U, 0x5ce37ee6U, 0xc6afc499U},
+         {0x3f4f2fdaU, 0x48791e14U, 0xff9a8b9cU},
+         {0xa8f6083fU, 0xd7ed7c60U, 0x84f881c0U},
+         {0xc8cc0ed6U, 0x29d438d9U, 0xe2f51b8fU}}}},
+      {Benchmark::kLstmPtb, Scheme::kSidcoExponential, false,
+       {{{0x4ff540b4U, 0xc86dc1c5U, 0xc6afc499U},
+         {0x50cd0052U, 0xc86dc1c5U, 0xbb477be4U},
+         {0xf35bafd1U, 0xc86dc1c5U, 0x29c07b82U},
+         {0x03972ab2U, 0xc86dc1c5U, 0x2b48da24U}}}},
+  };
+  for (const PinnedCell& cell : cells) {
+    SCOPED_TRACE(std::string(nn::benchmark_spec(cell.benchmark).name) + ", " +
+                 std::string(core::scheme_name(cell.scheme)) +
+                 (cell.error_feedback ? ", EC on" : ", EC off"));
+    const double ratio = cell.scheme == Scheme::kNone ? 1.0 : 0.01;
+    dist::Worker worker(cell.benchmark, /*model_seed=*/21, /*stream_seed=*/22,
+                        cell.scheme, ratio, cell.error_feedback);
+    const std::size_t batch = nn::benchmark_spec(cell.benchmark).batch_size;
+    comm::SparseAccumulator accumulator;
+    std::array<PinnedRound, kPinnedRounds> got;
+    for (PinnedRound& round : got) {
+      const dist::WorkerStepResult& step = worker.step(batch);
+      const std::span<const std::uint8_t> payloads[] = {step.encoded};
+      worker.apply_update(comm::decoded_mean(accumulator, payloads,
+                                             worker.gradient_dimension()));
+      round = {.encoded = fnv_of(step.encoded),
+               .memory = fnv_of(worker.error_memory()),
+               .params = fnv_of(worker.parameters())};
+    }
+    EXPECT_TRUE(got == cell.rounds)
+        << "step bytes moved; this build records " << pinned_rounds(got);
+  }
 }
 
 // One seeded build per session: make_workers draws worker 0's model and

@@ -1,10 +1,16 @@
 // Learning sanity: single-process SGD on the synthetic tasks must reduce the
 // loss and beat chance accuracy; optimizer mechanics (momentum, Nesterov,
-// clipping) behave as specified.
+// clipping, the in-place gradient read) behave as specified.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "data/factory.h"
 #include "nn/dense.h"
@@ -128,6 +134,59 @@ TEST(Optimizer, WeightDecayAddsToGradient) {
   const std::vector<float> grad = {0.0F};
   opt.step(params, grad);  // effective grad = 0.2
   EXPECT_NEAR(params[0], 1.8F, 1e-6);
+}
+
+// Without weight decay or clipping the optimizer reads the gradient in place.
+// The update must equal the copy-then-step loop it replaced, bit for bit:
+// the same element operations on the same values, for momentum 0,
+// heavy-ball and Nesterov, over several steps so the velocity carries over.
+TEST(Optimizer, InPlaceGradientMatchesCopyThenStep) {
+  constexpr std::size_t kN = 1031;
+  util::Rng rng(5);
+  std::normal_distribution<float> normal(0.0F, 1.0F);
+  std::vector<std::vector<float>> grads(3, std::vector<float>(kN));
+  for (auto& grad : grads) {
+    for (float& g : grad) g = normal(rng);
+    grad[0] = -0.0F;
+    grad[1] = std::numeric_limits<float>::denorm_min();
+  }
+  std::vector<float> initial(kN);
+  for (float& p : initial) p = normal(rng);
+
+  for (const auto& [momentum, nesterov] :
+       {std::pair{0.0, false}, std::pair{0.9, false}, std::pair{0.9, true}}) {
+    SCOPED_TRACE("momentum " + std::to_string(momentum) +
+                 (nesterov ? ", nesterov" : ""));
+    nn::OptimizerConfig config;
+    config.learning_rate = 0.05;
+    config.momentum = momentum;
+    config.nesterov = nesterov;
+    nn::SgdOptimizer opt(config);
+    std::vector<float> params = initial;
+
+    // The replaced loop: copy the gradient into scratch, then step from it.
+    std::vector<float> want = initial;
+    std::vector<float> velocity(kN, 0.0F);
+    const auto lr = static_cast<float>(config.learning_rate);
+    const auto mu = static_cast<float>(config.momentum);
+    for (const std::vector<float>& grad : grads) {
+      opt.step(params, grad);
+      const std::vector<float> scratch = grad;
+      for (std::size_t i = 0; i < kN; ++i) {
+        if (momentum == 0.0) {
+          want[i] -= lr * scratch[i];
+        } else if (nesterov) {
+          velocity[i] = mu * velocity[i] + scratch[i];
+          want[i] -= lr * (scratch[i] + mu * velocity[i]);
+        } else {
+          velocity[i] = mu * velocity[i] + scratch[i];
+          want[i] -= lr * velocity[i];
+        }
+      }
+      ASSERT_EQ(std::memcmp(params.data(), want.data(), kN * sizeof(float)),
+                0);
+    }
+  }
 }
 
 TEST(Optimizer, RejectsBadConfig) {

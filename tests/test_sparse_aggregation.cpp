@@ -13,6 +13,8 @@
 
 #include <bit>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <random>
 #include <span>
 #include <string>
@@ -255,6 +257,123 @@ TEST(SparseAggregation, HostilePartsAreRejectedNotMisSummed) {
     EXPECT_NE(std::string(e.what()).find("at least one payload"),
               std::string::npos)
         << e.what();
+  }
+}
+
+/// The CheckError message `f` throws, or "" when it does not throw.
+template <typename F>
+std::string check_error_of(F&& f) {
+  try {
+    f();
+  } catch (const util::CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A dense payload is added straight from its bytes; the sum must equal
+// decode_dense followed by the scale-add, bit for bit, on top of whatever
+// the round already holds.  The values cover signed zeros, subnormals and
+// +-FLT_MAX (whose scaled sum overflows the same way on both paths), the
+// dimension spans several decode chunks, and fp16 payloads decode through
+// the same conversion.
+TEST(SparseAggregation, DenseAccumulateEqualsDecodePlusScaleAdd) {
+  constexpr std::size_t kDim = 5000;
+  std::vector<float> values = random_gradient(kDim, 31);
+  const float specials[] = {-0.0F,
+                            0.0F,
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            1.5e-39F,
+                            -2.75e-40F,
+                            std::numeric_limits<float>::max(),
+                            -std::numeric_limits<float>::max(),
+                            std::numeric_limits<float>::min(),
+                            6.1e-5F};
+  for (std::size_t i = 0; i < kDim; i += 7) {
+    values[i] = specials[(i / 7) % std::size(specials)];
+  }
+  tensor::SparseGradient prior;
+  prior.dense_dim = kDim;
+  for (std::uint32_t i = 0; i < kDim; i += 3) {
+    prior.indices.push_back(i);
+    prior.values.push_back(i % 2 == 0 ? std::numeric_limits<float>::max()
+                                      : -0.0F);
+  }
+
+  for (const comm::ValueMode mode :
+       {comm::ValueMode::kFp32, comm::ValueMode::kFp16}) {
+    std::vector<std::uint8_t> buffer;
+    comm::encode_dense(values, mode, buffer);
+    for (const float scale : {1.0F, 0.5F, static_cast<float>(1.0 / 3.0)}) {
+      SCOPED_TRACE(std::string(mode == comm::ValueMode::kFp32 ? "fp32"
+                                                              : "fp16") +
+                   ", scale " + std::to_string(scale));
+      comm::SparseAccumulator direct;
+      direct.reset(kDim);
+      direct.accumulate(prior, scale);
+      const comm::MessageInfo info = direct.accumulate_encoded(buffer, scale);
+      EXPECT_EQ(info.kind, comm::PayloadKind::kDense);
+      EXPECT_EQ(info.count, kDim);
+
+      comm::SparseAccumulator staged;
+      staged.reset(kDim);
+      staged.accumulate(prior, scale);
+      std::vector<float> decoded;
+      comm::decode_dense(buffer, decoded);
+      std::vector<float> want(staged.dense().begin(), staged.dense().end());
+      for (std::size_t i = 0; i < kDim; ++i) want[i] += scale * decoded[i];
+      expect_bits_equal(direct.dense(), want);
+    }
+  }
+}
+
+// Hostile dense payloads fail the direct accumulate with decode_dense's own
+// messages (a dimension mismatch with the accumulator's), before any element
+// lands in the sum.
+TEST(SparseAggregation, HostileDensePayloadsFailWithDecodeDenseMessages) {
+  constexpr std::size_t kDim = 10;
+  std::vector<std::uint8_t> good;
+  comm::encode_dense(std::vector<float>(kDim, 1.0F), comm::ValueMode::kFp32,
+                     good);
+  std::vector<std::uint8_t> wrong_dim;
+  comm::encode_dense(std::vector<float>(kDim + 1, 1.0F),
+                     comm::ValueMode::kFp32, wrong_dim);
+  const std::vector<std::uint8_t> truncated(good.begin(), good.end() - 1);
+  std::vector<std::uint8_t> count_mismatch = good;
+  count_mismatch[16] = kDim - 1;  // count (u64 LE at byte 16)
+  std::vector<std::uint8_t> index_bit = good;
+  index_bit[4] |= 0x01;  // flags bit 0: index mode
+
+  struct Case {
+    const char* name;
+    const std::vector<std::uint8_t>& buffer;
+    bool decodes;  ///< a well-formed message, just not this round's size
+    std::string want;
+  };
+  const Case cases[] = {
+      {"wrong dense_dim", wrong_dim, true,
+       "aggregate: dense payload dimension mismatch"},
+      {"truncated body", truncated, false,
+       "wire: payload size does not match header"},
+      {"count != dense_dim", count_mismatch, false,
+       "wire: dense count must equal dense_dim"},
+      {"index-mode bit", index_bit, false,
+       "wire: dense payloads take no index mode bit"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<float> decoded;
+    const std::string decode_error =
+        check_error_of([&] { comm::decode_dense(c.buffer, decoded); });
+    comm::SparseAccumulator accumulator;
+    accumulator.reset(kDim);
+    const std::string error = check_error_of(
+        [&] { accumulator.accumulate_encoded(c.buffer, 1.0F); });
+    EXPECT_TRUE(error.ends_with("check failed: " + c.want)) << error;
+    // The same check site, so the same message, location included.
+    EXPECT_EQ(decode_error, c.decodes ? "" : error);
+    for (float v : accumulator.dense()) EXPECT_EQ(v, 0.0F);
   }
 }
 

@@ -3,15 +3,19 @@
 // reached their high-water capacity, repeated compress_into() calls must
 // perform ZERO heap allocations.  The same holds for a model's forward +
 // backward once one step has grown its activation buffers and the per-thread
-// kernel scratch.  Verified two ways:
+// kernel scratch, and a whole warm collective round (every replica's step,
+// the decoded mean and the apply) allocates nothing gradient-sized.
+// Verified two ways:
 //   1. a counting global operator new/delete (this TU overrides the global
 //      allocation functions, so every heap allocation in the process is
-//      observed), and
+//      observed; allocations of at least a threshold are counted apart), and
 //   2. buffer-pointer stability of the reused output across calls.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
@@ -19,6 +23,9 @@
 #include "compressors/compressor.h"
 #include "core/factory.h"
 #include "core/sidco_compressor.h"
+#include "dist/session.h"
+#include "dist/session_detail.h"
+#include "dist/worker.h"
 #include "nn/model.h"
 #include "nn/zoo.h"
 #include "stats/distributions.h"
@@ -27,6 +34,14 @@
 
 namespace {
 std::atomic<std::size_t> g_allocations{0};
+/// Allocations of at least g_large_bytes (none while it is SIZE_MAX).
+std::atomic<std::size_t> g_large_allocations{0};
+std::atomic<std::size_t> g_large_bytes{SIZE_MAX};
+
+void count_allocation(std::size_t size) {
+  ++g_allocations;
+  if (size >= g_large_bytes.load()) ++g_large_allocations;
+}
 }  // namespace
 
 // The replacement operator new allocates with std::malloc, so releasing with
@@ -37,13 +52,13 @@ std::atomic<std::size_t> g_allocations{0};
 #endif
 
 void* operator new(std::size_t size) {
-  ++g_allocations;
+  count_allocation(size);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
 void* operator new[](std::size_t size) {
-  ++g_allocations;
+  count_allocation(size);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
@@ -152,6 +167,48 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(nn::Benchmark::kResNet20, nn::Benchmark::kVgg19),
     [](const ::testing::TestParamInfo<nn::Benchmark>& info) {
       return std::string(nn::benchmark_spec(info.param).name);
+    });
+
+class CollectiveRoundAlloc : public ::testing::TestWithParam<core::Scheme> {};
+
+// After two warm-up rounds, a collective round over 3 VGG19 replicas makes no
+// allocation of a gradient's size (4 bytes per parameter) or more: each step
+// hands out its worker's own result, the mean reads the payloads in place
+// and the optimizer reads the mean in place.  The batch Dataset::sample
+// returns is far smaller and stays out of this contract.
+TEST_P(CollectiveRoundAlloc, WarmRoundAllocatesNothingGradientSized) {
+  dist::SessionConfig config;
+  config.benchmark = nn::Benchmark::kVgg19;
+  config.scheme = GetParam();
+  config.target_ratio = GetParam() == core::Scheme::kNone ? 1.0 : 0.01;
+  config.workers = 3;
+  config.iterations = 100;  // no eval is due in the rounds run here
+  const auto workers = dist::detail::make_workers(config);
+  std::vector<dist::Worker*> replicas;
+  for (const auto& worker : workers) replicas.push_back(worker.get());
+  const std::size_t dim = workers.front()->gradient_dimension();
+  const dist::detail::TimingContext timing =
+      dist::detail::make_timing(config, dim);
+  dist::SessionResult result;
+  result.config = config;
+  dist::detail::CollectiveRound round;
+
+  std::size_t iter = 0;
+  for (; iter < 2; ++iter) round.run(config, timing, replicas, iter, result);
+  g_large_bytes = 4 * dim;
+  const std::size_t before = g_large_allocations.load();
+  for (; iter < 4; ++iter) round.run(config, timing, replicas, iter, result);
+  const std::size_t large = g_large_allocations.load() - before;
+  g_large_bytes = SIZE_MAX;
+  EXPECT_EQ(large, 0U) << core::scheme_name(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DenseAndSidco, CollectiveRoundAlloc,
+    ::testing::Values(core::Scheme::kNone, core::Scheme::kSidcoExponential),
+    [](const ::testing::TestParamInfo<core::Scheme>& info) {
+      return info.param == core::Scheme::kNone ? std::string("NoComp")
+                                               : std::string("SidcoE");
     });
 
 TEST(SteadyStateAlloc, OutputBuffersAreReusedAcrossCalls) {

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Bench smoke gate for the SIDCo multi-stage compress, SIMD dispatch, nn
-layer kernel and replica construction paths.
+layer kernel, replica construction and dense decode-mean paths.
 
 Usage:
     check_bench_regression.py CURRENT.json [CURRENT2.json ...] [BASELINE.json]
@@ -52,7 +52,9 @@ import sys
 # pairs gate the vectorized Conv2D/Dense kernels against the frozen scalar
 # loops (bit-identical by test_nn_kernels); the replica pair gates building a
 # session's workers from one seeded model against seeding each of them
-# (byte-identical replicas by test_dist).
+# (byte-identical replicas by test_dist); the decode-mean pair gates adding
+# dense payloads straight from their bytes against decoding each into a
+# staging vector first (bit-identical means by test_sparse_aggregation).
 GATED_PAIRS = [
     ("BM_SidcoMultiStageCompressLegacy/", "BM_SidcoMultiStageCompress/",
      "multi-stage compress (seed vs fused)"),
@@ -78,6 +80,8 @@ GATED_PAIRS = [
      "dense layer fwd+bwd (scalar loop vs vectorized)"),
     ("BM_MakeWorkersSeeded/", "BM_MakeWorkers/",
      "replica construction (every worker seeded vs one seeded, copied)"),
+    ("BM_DenseDecodeMeanStaged/", "BM_DenseDecodeMean/",
+     "dense decode-mean (staged decode vs straight from the bytes)"),
 ]
 REGRESSION_TOLERANCE = 0.20  # fail if the speedup ratio drops >20%
 

@@ -70,6 +70,14 @@ def replica_run(seeded_time, copied_time):
     ])
 
 
+def decode_mean_run(staged_time, direct_time):
+    """A kernel dump with the dense decode-mean pair."""
+    return bench_json([
+        ("BM_DenseDecodeMeanStaged/vgg19", staged_time),
+        ("BM_DenseDecodeMean/vgg19", direct_time),
+    ])
+
+
 class CheckBenchRegressionTest(unittest.TestCase):
     def setUp(self):
         self._dir = tempfile.TemporaryDirectory()
@@ -257,6 +265,14 @@ class CheckBenchRegressionTest(unittest.TestCase):
         baseline = self.write("baseline.json", replica_run(220.0, 100.0))
         self.assertEqual(self.run_gate(current, baseline), 1)
         healthy = self.write("healthy.json", replica_run(200.0, 100.0))
+        self.assertEqual(self.run_gate(healthy, baseline), 0)
+
+    def test_dense_decode_mean_pair_gates(self):
+        # Back to a staged copy: baseline 1.5x, current 1.0x.
+        current = self.write("current.json", decode_mean_run(100.0, 100.0))
+        baseline = self.write("baseline.json", decode_mean_run(150.0, 100.0))
+        self.assertEqual(self.run_gate(current, baseline), 1)
+        healthy = self.write("healthy.json", decode_mean_run(145.0, 100.0))
         self.assertEqual(self.run_gate(healthy, baseline), 0)
 
 
